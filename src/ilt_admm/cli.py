@@ -75,6 +75,10 @@ def _merged(args: argparse.Namespace, fields: dict[str, str]) -> dict:
     cfg_file = {}
     if getattr(args, "config", None):
         cfg_file = load_config(args.config)
+    unknown = sorted(cfg_file.keys() - _OPTICS_FIELDS.keys() - _SOLVER_FIELDS.keys())
+    if unknown:
+        raise _UsageError(f"{args.config}: unknown config key(s): "
+                          + ", ".join(unknown))
     out = {}
     for name, typename in fields.items():
         if name in cfg_file:

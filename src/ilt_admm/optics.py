@@ -130,8 +130,9 @@ class _ConvOperator:
     """Zero-padded linear convolution with a fixed kernel and input size,
     plus its exact adjoint (correlation with the conjugate kernel).
 
-    Both directions share one cached kernel spectrum on a fast FFT lattice
-    large enough that cyclic convolution equals linear convolution.
+    Both directions share one cached kernel spectrum on the smallest fast
+    FFT lattice on which cyclic convolution equals linear convolution over
+    the central n x n window.
     """
 
     def __init__(self, kernel: np.ndarray, n: int):
@@ -139,7 +140,9 @@ class _ConvOperator:
         self.n = n
         self.k = k
         self.crop = (k - 1) // 2  # central-window offset into the full conv
-        self.shape = tuple(sfft.next_fast_len(n + k - 1) for _ in range(2))
+        # wrap-around lands outside the central window; the kernel must fit
+        size = sfft.next_fast_len(max(n + k - 1 - self.crop, k))
+        self.shape = (size, size)
         self.kernel_hat = sfft.fft2(kernel, self.shape)
 
     def forward(self, u: np.ndarray) -> np.ndarray:

@@ -155,24 +155,29 @@ def augmented_lagrangian(u: np.ndarray, v: np.ndarray, p: np.ndarray,
 
 def _bregman_objective(u: np.ndarray, hu: np.ndarray, w: np.ndarray,
                        d: SplitTriple, b: SplitTriple,
-                       cfg: SolverConfig) -> float:
-    """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2."""
+                       cfg: SolverConfig) -> tuple[float, SplitTriple]:
+    """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2, returned with
+    the split gap d - Phi(U) - b so grad_F at U can reuse it."""
     gap = d - phi(u, cfg.beta1, cfg.beta2) - b
-    return float(np.sum(np.abs(hu - w) ** 2)) + 0.5 * cfg.gamma * gap.sq_norm()
+    f = float(np.sum(np.abs(hu - w) ** 2)) + 0.5 * cfg.gamma * gap.sq_norm()
+    return f, gap
 
 
 def grad_F(u: np.ndarray, w: np.ndarray, d: SplitTriple, b: SplitTriple,
            cfg: SolverConfig, kernel: PsfKernel,
-           hu: Optional[np.ndarray] = None) -> np.ndarray:
+           hu: Optional[np.ndarray] = None,
+           gap: Optional[SplitTriple] = None) -> np.ndarray:
     """Gradient of the Bregman subproblem objective F at U.
 
     2 Re{H^*(HU - W)} - gamma*beta1 D^T(d1 - beta1 DU - b1)
     + gamma*beta2 (d2 - beta2 U(1-U) - b2) (2U - 1).
+    hu = HU and gap = d - Phi(U) - b are computed when not given.
     """
     if hu is None:
         hu = convolve(kernel, u)
     data = 2.0 * np.real(convolve_adjoint(kernel, hu - w))
-    gap = d - phi(u, cfg.beta1, cfg.beta2) - b
+    if gap is None:
+        gap = d - phi(u, cfg.beta1, cfg.beta2) - b
     tv_term = cfg.gamma * cfg.beta1 * diff_adjoint(gap.tv_x, gap.tv_y)
     pen_term = cfg.gamma * cfg.beta2 * gap.pen * (2.0 * u - 1.0)
     return data - tv_term + pen_term
@@ -229,11 +234,13 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
 
     for _ in range(cfg.bregman_max_iters):
         u_sweep_start = u
+        # F and the split gap at the current U; an accepted trial carries
+        # its own into the next descent step
+        f0, gap = _bregman_objective(u, hu, w, d, b, cfg)
         for _ in range(cfg.descent_max_iters):
-            g = grad_F(u, w, d, b, cfg, kernel, hu=hu)
+            g = grad_F(u, w, d, b, cfg, kernel, hu=hu, gap=gap)
             if not np.any(g):
                 break
-            f0 = _bregman_objective(u, hu, w, d, b, cfg)
             t = cfg.armijo_t0
             accepted = False
             for _ in range(cfg.descent_max_iters):
@@ -243,9 +250,9 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(kernel, u_t)
-                f_t = _bregman_objective(u_t, hu_t, w, d, b, cfg)
+                f_t, gap_t = _bregman_objective(u_t, hu_t, w, d, b, cfg)
                 if f_t <= f0 - cfg.armijo_alpha * move_sq / t:
-                    u, hu = u_t, hu_t
+                    u, hu, f0, gap = u_t, hu_t, f_t, gap_t
                     accepted = True
                     break
                 t *= cfg.armijo_beta
@@ -258,8 +265,9 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
         if val < best_val:
             best_u, best_val = u, val
 
-        d = shrink(phi(u, cfg.beta1, cfg.beta2) + b, 1.0 / cfg.gamma)
-        b = b + phi(u, cfg.beta1, cfg.beta2) - d
+        phi_u = phi(u, cfg.beta1, cfg.beta2)
+        d = shrink(phi_u + b, 1.0 / cfg.gamma)
+        b = b + phi_u - d
         if l2_norm(u - u_sweep_start) < tol:
             break
     return best_u

@@ -173,6 +173,17 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     assert len(rows) == 2
 
 
+def test_cli_config_rejects_unknown_key(tmp_path, capsys):
+    target = small_target(tmp_path)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("kernel_size=30\nrh0=50\n")
+    assert run_cli(["optimize", "--target", str(target), "--config", str(cfg),
+                    "--outer-iters", "1", "--quiet",
+                    "--output-dir", str(tmp_path / "o")]) == 1
+    assert "rh0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sweep(tmp_path):
     target = small_target(tmp_path)
     out = tmp_path / "sw"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ilt_admm.optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
-                             build_pupil, convolve, cutoff_frequency,
-                             image_sigmoid, image_threshold)
+                             build_pupil, convolve, convolve_adjoint,
+                             cutoff_frequency, image_sigmoid, image_threshold)
 from ilt_admm.oracles import bessel_j1, convolve_naive
 
 RNG = np.random.default_rng(7)
@@ -93,13 +93,38 @@ def test_convolve_linearity():
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
+# (kernel size, field size): odd and even kernels, kernels smaller and
+# larger than the field. In the last two pairs the kernel is wider than
+# n + k - 1 - (k - 1) // 2, so the kernel sets the lattice size.
+LATTICE_CASES = [(5, 8), (6, 8), (9, 5), (12, 7), (20, 6), (15, 3)]
+
+
+def complex_normal(shape):
+    return RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+
+
 def test_convolve_matches_naive():
-    for _ in range(5):
-        kernel = PsfKernel(RNG.normal(size=(5, 5))
-                           + 1j * RNG.normal(size=(5, 5)))
-        u = RNG.random((8, 8))
-        want = convolve_naive(kernel.samples, u)
-        assert np.abs(convolve(kernel, u) - want).max() < 1e-10
+    for k, n in LATTICE_CASES:
+        for _ in range(3):
+            kernel = PsfKernel(complex_normal((k, k)))
+            u = RNG.random((n, n))
+            want = convolve_naive(kernel.samples, u)
+            assert np.abs(convolve(kernel, u) - want).max() < 1e-10, (k, n)
+
+
+def test_convolve_adjoint_identity():
+    # <H u, x> = <u, H^* x> for the complex Hermitian inner product
+    for k, n in LATTICE_CASES:
+        kernel = PsfKernel(complex_normal((k, k)))
+        u, x = complex_normal((n, n)), complex_normal((n, n))
+        lhs = np.vdot(convolve(kernel, u), x)
+        rhs = np.vdot(u, convolve_adjoint(kernel, x))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), (k, n)
+
+
+def test_production_lattice_is_196():
+    # smallest fast length >= 144 + 100 - 1 - 49 = 194
+    assert PsfKernel(np.ones((100, 100))).op(144).shape == (196, 196)
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():
