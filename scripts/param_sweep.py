@@ -4,7 +4,8 @@ penalty) and gamma (Bregman penalty) values on the ten-rectangle target
 and summarize final error and descent consistency per cell.
 
 Larger rho descends more consistently but more gently; the script counts
-nonmonotone Lagrangian steps per curve to make that visible.
+nonmonotone Lagrangian steps per curve to make that visible. It is the only
+rho x gamma product grid: `ilt-admm sweep` varies one parameter at a time.
 
 Usage: python3 scripts/param_sweep.py [output_dir]
 """

@@ -1,13 +1,12 @@
 """Inverse lithography mask synthesis: a coherent imaging model and an
 ADMM solver with total-variation and binarity regularization."""
 
-from .grids import inner, l1_norm, l2_norm, project_box
+from .grids import inner, l2_norm, project_box
 from .metrics import EvaluationReport, epe_error, epe_map, evaluate
 from .optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
                      build_pupil, convolve, cutoff_frequency, image_sigmoid,
                      image_threshold)
-from .regularization import (SplitTriple, binarity_penalty, diff_forward,
-                             phi, shrink, tv_norm)
+from .regularization import binarity_penalty, diff_forward, phi, shrink, tv_norm
 from .solver import (ConvergenceRecord, SolverConfig, admm_optimize,
                      augmented_lagrangian, check_rho_condition, dual_update,
                      estimate_lipschitz, grad_F, grad_h, lagrangian_trace_check,

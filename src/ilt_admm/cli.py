@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracles, targets
 from .grids import l2_norm
-from .metrics import evaluate
+from .metrics import EvaluationReport, evaluate
 from .optics import OpticsConfig, PsfKernel, aerial_image, build_psf, convolve, image_threshold
 from .pgmio import (PatternFormatError, load_config, load_mask, load_pattern,
                     save_grid, write_history)
@@ -50,11 +50,14 @@ def _add_optics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, dest="threshold")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
+
+
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outer-tol", type=float, dest="outer_tol")
     p.add_argument("--outer-iters", type=int, dest="outer_max_iters")
     p.add_argument("--bregman-iters", type=int, dest="bregman_max_iters")
@@ -65,8 +68,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 def _coerce(value: str, typename: str):
     if "int" in typename:
         return int(value)
-    if "bool" in typename:
-        return value.lower() in ("1", "true", "yes")
     return float(value)
 
 
@@ -143,16 +144,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _save_mask_outputs(u, target, oc, kernel, records, out: Path) -> None:
+def _save_mask_outputs(u, target, oc, kernel, records,
+                       out: Path) -> EvaluationReport:
     save_grid(u, out / "mask.txt", mode="text")
     save_grid(u, out / "mask.pgm", mode="binary",
               comment="mask binarized at 0.5; continuous values in mask.txt")
     report = evaluate(u, target, oc, kernel=kernel)
-    printed = image_threshold(
-        aerial_image(convolve(kernel, u)), oc.threshold)
-    save_grid(printed, out / "wafer.pgm", mode="binary")
+    # epe = |printed - target| on 0/1 grids, so the printed pattern is
+    # |target - epe| and the mask need not be imaged again
+    save_grid(np.abs(target - report.epe), out / "wafer.pgm", mode="binary")
     save_grid(report.epe, out / "epe.pgm", mode="binary")
     write_history(records, out / "history.csv")
+    return report
 
 
 def cmd_optimize(args) -> int:
@@ -170,8 +173,7 @@ def cmd_optimize(args) -> int:
 
     u, records = admm_optimize(target, oc, sc, progress=progress, kernel=kernel)
     out = _outdir(args)
-    _save_mask_outputs(u, target, oc, kernel, records, out)
-    final = evaluate(u, target, oc, kernel=kernel).error
+    final = _save_mask_outputs(u, target, oc, kernel, records, out).error
     trace = lagrangian_trace_check(records)
     print(f"baseline epe_error={baseline!r}, optimized epe_error={final!r}")
     print(f"lagrangian nonincreasing fraction: "
@@ -268,7 +270,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         _add_optics_flags(p)
         if solver:
-            _add_solver_flags(p)
+            _add_penalty_flags(p)
+            _add_budget_flags(p)
 
     p = sub.add_parser("psf", help="dump the PSF kernel")
     common(p)
@@ -311,13 +314,9 @@ def build_parser() -> _Parser:
     p.add_argument("--output-dir", default="out")
     p.add_argument("--seed", type=int, default=0)
     _add_optics_flags(p)
-    # the solver list flags above replace the scalar --rho/--gamma/--beta1/
-    # --beta2; only the budget flags carry over
-    p.add_argument("--outer-tol", type=float, dest="outer_tol")
-    p.add_argument("--outer-iters", type=int, dest="outer_max_iters")
-    p.add_argument("--bregman-iters", type=int, dest="bregman_max_iters")
-    p.add_argument("--bregman-tol", type=float, dest="bregman_tol")
-    p.add_argument("--descent-iters", type=int, dest="descent_max_iters")
+    # the list flags above replace the scalar penalty flags; only the budget
+    # flags carry over
+    _add_budget_flags(p)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -1,8 +1,8 @@
 """Square pixel-grid primitives shared by every other module.
 
 Grids are plain numpy arrays of shape (n, n); the helpers here validate
-shapes, move between flat (row-major) and square views, and provide the
-handful of elementwise/reduction primitives the solver needs.
+shapes and provide the handful of elementwise/reduction primitives the
+solver needs.
 """
 
 from __future__ import annotations
@@ -33,15 +33,6 @@ def as_grid(values, *, complex_ok: bool = False) -> np.ndarray:
     return a
 
 
-def grid_from_flat(values, *, complex_ok: bool = False) -> np.ndarray:
-    """Reshape a row-major flat vector of length n*n into an (n, n) grid."""
-    v = np.asarray(values).ravel()
-    n = int(round(np.sqrt(v.size)))
-    if n * n != v.size or v.size == 0:
-        raise GridError(f"flat length {v.size} is not a positive square")
-    return as_grid(v.reshape(n, n), complex_ok=complex_ok)
-
-
 def as_binary(values) -> np.ndarray:
     """Validate a grid whose every entry is exactly 0 or 1."""
     a = as_grid(values)
@@ -58,10 +49,6 @@ def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 def project_box(u: np.ndarray) -> np.ndarray:
     """Clamp every entry to [0, 1]."""
     return np.clip(u, 0.0, 1.0)
-
-
-def l1_norm(x: np.ndarray) -> float:
-    return float(np.sum(np.abs(x)))
 
 
 def l2_norm(x: np.ndarray) -> float:

@@ -1,50 +1,16 @@
 """Discrete TV operators, the binarity penalty, the combined splitting map
-Phi(U) = (b1*Dx U, b1*Dy U, b2*U(1-U)), and the soft-threshold operator."""
+Phi(U) = (b1*Dx U, b1*Dy U, b2*U(1-U)), and the soft-threshold operator.
+
+Phi(U), and the Bregman variables d and b of the U-step, are stacked
+(3, n, n) float arrays: index 0 is the x difference, 1 the y difference,
+2 the binarity penalty.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridError
-
-
-@dataclass
-class SplitTriple:
-    """Three same-shaped fields: the two TV difference images and the
-    binarity-penalty image. Also holds the Bregman variables d and b."""
-
-    tv_x: np.ndarray
-    tv_y: np.ndarray
-    pen: np.ndarray
-
-    def __post_init__(self):
-        if not (self.tv_x.shape == self.tv_y.shape == self.pen.shape):
-            raise GridError("split triple components must share one shape")
-
-    def __add__(self, other: "SplitTriple") -> "SplitTriple":
-        return SplitTriple(self.tv_x + other.tv_x,
-                           self.tv_y + other.tv_y,
-                           self.pen + other.pen)
-
-    def __sub__(self, other: "SplitTriple") -> "SplitTriple":
-        return SplitTriple(self.tv_x - other.tv_x,
-                           self.tv_y - other.tv_y,
-                           self.pen - other.pen)
-
-    def l1(self) -> float:
-        return float(np.abs(self.tv_x).sum() + np.abs(self.tv_y).sum()
-                     + np.abs(self.pen).sum())
-
-    def sq_norm(self) -> float:
-        return float((self.tv_x ** 2).sum() + (self.tv_y ** 2).sum()
-                     + (self.pen ** 2).sum())
-
-    @classmethod
-    def zeros_like(cls, u: np.ndarray) -> "SplitTriple":
-        z = np.zeros_like(u, dtype=float)
-        return cls(z.copy(), z.copy(), z.copy())
 
 
 def diff_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,22 +52,16 @@ def binarity_penalty(u: np.ndarray) -> float:
     return float(np.abs(u * (1.0 - u)).sum())
 
 
-def phi(u: np.ndarray, beta1: float, beta2: float) -> SplitTriple:
-    """The splitting map (b1*Dx U, b1*Dy U, b2*U(1-U))."""
+def phi(u: np.ndarray, beta1: float, beta2: float) -> np.ndarray:
+    """The splitting map (b1*Dx U, b1*Dy U, b2*U(1-U)) as a (3, n, n) array:
+    [0] the x difference, [1] the y difference, [2] the binarity penalty."""
     dx, dy = diff_forward(u)
-    return SplitTriple(beta1 * dx, beta1 * dy, beta2 * u * (1.0 - u))
+    return np.stack((beta1 * dx, beta1 * dy, beta2 * u * (1.0 - u)))
 
 
-def shrink(x, kappa: float):
-    """Soft threshold sgn(x) * max(|x| - kappa, 0), elementwise.
-
-    Accepts an array or a SplitTriple; the same kappa applies to every
-    component.
-    """
+def shrink(x, kappa: float) -> np.ndarray:
+    """Soft threshold sgn(x) * max(|x| - kappa, 0), elementwise."""
     if kappa < 0:
         raise ValueError("shrink parameter must be nonnegative")
-    if isinstance(x, SplitTriple):
-        return SplitTriple(shrink(x.tv_x, kappa), shrink(x.tv_y, kappa),
-                           shrink(x.pen, kappa))
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)

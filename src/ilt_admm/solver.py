@@ -10,7 +10,7 @@ residual, the dual identity P = -grad h(V)) are monitored, not enforced.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import optics as _optics
 from .grids import as_binary, inner, l2_norm, project_box
 from .metrics import epe_error
 from .optics import PsfKernel, convolve, convolve_adjoint, image_sigmoid
-from .regularization import SplitTriple, binarity_penalty, diff_adjoint, phi, shrink, tv_norm
+from .regularization import binarity_penalty, diff_adjoint, phi, shrink, tv_norm
 
 log = logging.getLogger(__name__)
 
@@ -74,12 +74,6 @@ class ConvergenceRecord:
     v_change: float = float("nan")
     all_kept_smooth: bool = False
     dual_gradient_gap: float = float("nan")
-
-
-@dataclass
-class BregmanState:
-    d: SplitTriple
-    b: SplitTriple
 
 
 def sigmoid_misfit(v: np.ndarray, target: np.ndarray, a: float, tr: float) -> float:
@@ -154,55 +148,33 @@ def augmented_lagrangian(u: np.ndarray, v: np.ndarray, p: np.ndarray,
 
 
 def _bregman_objective(u: np.ndarray, hu: np.ndarray, w: np.ndarray,
-                       d: SplitTriple, b: SplitTriple,
-                       cfg: SolverConfig) -> tuple[float, SplitTriple]:
+                       d: np.ndarray, b: np.ndarray,
+                       cfg: SolverConfig) -> tuple[float, np.ndarray]:
     """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2, returned with
     the split gap d - Phi(U) - b so grad_F at U can reuse it."""
     gap = d - phi(u, cfg.beta1, cfg.beta2) - b
-    f = float(np.sum(np.abs(hu - w) ** 2)) + 0.5 * cfg.gamma * gap.sq_norm()
+    f = float(np.sum(np.abs(hu - w) ** 2)) + 0.5 * cfg.gamma * float(np.sum(gap ** 2))
     return f, gap
 
 
-def grad_F(u: np.ndarray, w: np.ndarray, d: SplitTriple, b: SplitTriple,
+def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
            cfg: SolverConfig, kernel: PsfKernel,
            hu: Optional[np.ndarray] = None,
-           gap: Optional[SplitTriple] = None) -> np.ndarray:
+           gap: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient of the Bregman subproblem objective F at U.
 
-    2 Re{H^*(HU - W)} - gamma*beta1 D^T(d1 - beta1 DU - b1)
-    + gamma*beta2 (d2 - beta2 U(1-U) - b2) (2U - 1).
-    hu = HU and gap = d - Phi(U) - b are computed when not given.
+    2 Re{H^*(HU - W)} - gamma*beta1 D^T(gap[0], gap[1])
+    + gamma*beta2 gap[2] (2U - 1), with gap = d - Phi(U) - b.
+    hu = HU and gap are computed when not given.
     """
     if hu is None:
         hu = convolve(kernel, u)
     data = 2.0 * np.real(convolve_adjoint(kernel, hu - w))
     if gap is None:
         gap = d - phi(u, cfg.beta1, cfg.beta2) - b
-    tv_term = cfg.gamma * cfg.beta1 * diff_adjoint(gap.tv_x, gap.tv_y)
-    pen_term = cfg.gamma * cfg.beta2 * gap.pen * (2.0 * u - 1.0)
+    tv_term = cfg.gamma * cfg.beta1 * diff_adjoint(gap[0], gap[1])
+    pen_term = cfg.gamma * cfg.beta2 * gap[2] * (2.0 * u - 1.0)
     return data - tv_term + pen_term
-
-
-def _armijo_backtrack(f_of_step: Callable[[float], float], f0: float,
-                      grad_sq: float, cfg: SolverConfig) -> float:
-    """Backtrack t0, beta*t0, ... until F(U - t g) <= F(U) - alpha t ||g||^2;
-    returns 0 when descent_max_iters trials all fail."""
-    t = cfg.armijo_t0
-    for _ in range(cfg.descent_max_iters):
-        if f_of_step(t) <= f0 - cfg.armijo_alpha * t * grad_sq:
-            return t
-        t *= cfg.armijo_beta
-    return 0.0
-
-
-def armijo_step(objective: Callable[[np.ndarray], float], u: np.ndarray,
-                g: np.ndarray, cfg: SolverConfig) -> float:
-    """Armijo step size along -g for a generic objective evaluator."""
-    grad_sq = float(np.sum(g * g))
-    if grad_sq == 0.0:
-        return 0.0
-    f0 = objective(u)
-    return _armijo_backtrack(lambda t: objective(u - t * g), f0, grad_sq, cfg)
 
 
 def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
@@ -223,7 +195,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
     tol = cfg.bregman_tolerance(n)
     u = project_box(np.asarray(u_init, dtype=float))
     d = phi(u, cfg.beta1, cfg.beta2)
-    b = SplitTriple.zeros_like(u)
+    b = np.zeros((3,) + u.shape)
 
     def original_objective(uu: np.ndarray, huu: np.ndarray) -> float:
         return (float(np.sum(np.abs(huu - w) ** 2))

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ilt_admm.grids import (GridError, as_binary, as_grid, grid_from_flat,
-                            inner, l1_norm, l2_norm, project_box)
+from ilt_admm.grids import (GridError, as_binary, as_grid, inner, l2_norm,
+                            project_box)
 
 finite_grids = arrays(np.float64, (5, 5),
                       elements=st.floats(-10, 10, allow_nan=False))
@@ -24,7 +24,6 @@ def test_project_box_idempotent(u):
 
 
 def test_norms_trivial():
-    assert l1_norm(np.zeros((4, 4))) == 0.0
     x = np.zeros((4, 4))
     x[2, 1] = 3.0
     assert l2_norm(x) == 3.0
@@ -38,12 +37,6 @@ def test_l2_squared_is_self_inner(x):
 def test_inner_requires_matching_shapes():
     with pytest.raises(GridError):
         inner(np.zeros((3, 3)), np.zeros((4, 4)))
-
-
-def test_grid_from_flat_rejects_non_square_length():
-    with pytest.raises(GridError):
-        grid_from_flat(np.arange(10.0))
-    assert grid_from_flat(np.arange(9.0)).shape == (3, 3)
 
 
 def test_as_grid_rejects_bad_input():

@@ -188,12 +188,15 @@ def test_cli_sweep(tmp_path):
     target = small_target(tmp_path)
     out = tmp_path / "sw"
     assert run_cli(["sweep", "--target", str(target), "--kernel-size", "30",
-                    "--outer-iters", "1", "--rho", "5,10",
+                    "--outer-iters", "1", "--outer-tol", "0",
+                    "--bregman-iters", "2", "--bregman-tol", "1e-3",
+                    "--descent-iters", "3", "--rho", "5,10",
                     "--kernel-noise", "1e-3",
                     "--output-dir", str(out)]) == 0
     files = sorted(f.name for f in out.iterdir())
     assert files == ["history_kernel_noise_0p001.csv", "history_rho_10.csv",
                      "history_rho_5.csv"]
+    assert len(read_history(out / "history_rho_5.csv")) == 1
 
 
 def test_cli_derive(capsys):

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ilt_admm.grids import GridError, inner
-from ilt_admm.regularization import (SplitTriple, binarity_penalty,
-                                     diff_adjoint, diff_forward, phi, shrink,
-                                     tv_norm)
+from ilt_admm.regularization import (binarity_penalty, diff_adjoint,
+                                     diff_forward, phi, shrink, tv_norm)
 
 RNG = np.random.default_rng(11)
 
@@ -63,16 +62,17 @@ def test_phi_components():
     u = RNG.random((6, 6))
     t = phi(u, beta1=0.01, beta2=0.015)
     dx, dy = diff_forward(u)
-    assert np.allclose(t.tv_x, 0.01 * dx)
-    assert np.allclose(t.tv_y, 0.01 * dy)
-    assert np.allclose(t.pen, 0.015 * u * (1.0 - u))
+    assert t.shape == (3, 6, 6)
+    assert np.allclose(t[0], 0.01 * dx)
+    assert np.allclose(t[1], 0.01 * dy)
+    assert np.allclose(t[2], 0.015 * u * (1.0 - u))
 
 
 def test_phi_l1_matches_weighted_norms():
     u = RNG.random((6, 6))
-    t = phi(u, 0.01, 0.015)
+    got = np.abs(phi(u, 0.01, 0.015)).sum()
     want = 0.01 * tv_norm(u) + 0.015 * binarity_penalty(u)
-    assert t.l1() == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_shrink_scalar_cases():
@@ -89,25 +89,3 @@ def test_shrink_is_proximal_contraction(x, kappa):
     assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
     assert np.all(np.abs(x) - np.abs(out) <= kappa + 1e-12)
 
-
-def test_shrink_on_triple_applies_componentwise():
-    t = SplitTriple(RNG.normal(size=(4, 4)), RNG.normal(size=(4, 4)),
-                    RNG.normal(size=(4, 4)))
-    out = shrink(t, 0.3)
-    assert np.allclose(out.tv_x, shrink(t.tv_x, 0.3))
-    assert np.allclose(out.pen, shrink(t.pen, 0.3))
-
-
-def test_triple_arithmetic_and_norms():
-    a = SplitTriple(np.ones((3, 3)), np.zeros((3, 3)), np.ones((3, 3)))
-    b = SplitTriple.zeros_like(np.zeros((3, 3)))
-    s = a + b
-    assert s.l1() == 18.0
-    assert s.sq_norm() == 18.0
-    d = a - a
-    assert d.l1() == 0.0
-
-
-def test_triple_shape_mismatch_rejected():
-    with pytest.raises(GridError):
-        SplitTriple(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((4, 4)))
