@@ -2,8 +2,8 @@
 
 Subcommands: psf (dump the kernel), simulate (forward imaging chain),
 optimize (full ADMM run), evaluate (EPE metrics for a given mask),
-derive (print oracle reference values), sweep (parameter / kernel-noise
-grid, one history CSV per cell).
+derive (print oracle reference values), sweep (product grid of penalty
+lists, plus kernel-noise cells, one history CSV per cell).
 
 Parameter precedence: command-line flags > config file > built-in
 defaults. Exit codes: 0 success, 1 usage error, 2 runtime error.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import oracles, targets
 from .grids import l2_norm
-from .metrics import EvaluationReport, evaluate
+from .metrics import EvaluationReport, epe_map, evaluate
 from .optics import OpticsConfig, PsfKernel, aerial_image, build_psf, convolve, image_threshold
 from .pgmio import (PatternFormatError, load_config, load_mask, load_pattern,
                     save_grid, write_history)
@@ -135,11 +136,10 @@ def cmd_simulate(args) -> int:
     save_grid(ia, out / "aerial.pgm", mode="continuous", comment="aerial image")
     save_grid(printed, out / "wafer.pgm", mode="binary")
     if args.target:
-        target = _load_target(args.target)
-        report = evaluate(mask, target, oc, kernel=kernel)
-        save_grid(report.epe, out / "epe.pgm", mode="binary")
-        print(f"epe_error={report.error!r} "
-              f"nonzero_epe_pixels={report.nonzero_epe_pixels}")
+        epe = epe_map(printed, _load_target(args.target))
+        save_grid(epe, out / "epe.pgm", mode="binary")
+        print(f"epe_error={l2_norm(epe)!r} "
+              f"nonzero_epe_pixels={np.count_nonzero(epe)}")
     print(f"simulation outputs in {out}")
     return 0
 
@@ -218,13 +218,26 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def _parse_list(text: str, cast=float) -> list:
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(flag: str, text: str) -> list[float]:
+    """A comma-separated list of numbers; a malformed or empty list is a
+    usage error that names its flag."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"--{flag}: {exc}") from None
+    if not values:
+        raise _UsageError(f"--{flag}: no values in {text!r}")
+    return values
 
 
 def cmd_sweep(args) -> int:
-    if not any((args.sweep_rho, args.sweep_gamma, args.sweep_beta1,
-                args.sweep_beta2, args.kernel_noise)):
+    axes = {name: _parse_list(name, text) for name, text in (
+        ("rho", args.sweep_rho), ("gamma", args.sweep_gamma),
+        ("beta1", args.sweep_beta1), ("beta2", args.sweep_beta2))
+        if text is not None}
+    levels = ([] if args.kernel_noise is None
+              else _parse_list("kernel-noise", args.kernel_noise))
+    if not axes and not levels:
         raise _UsageError("sweep needs at least one of --rho/--gamma/"
                           "--beta1/--beta2/--kernel-noise lists")
     oc = _make_optics(args)
@@ -233,29 +246,32 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     kernel = build_psf(oc)
+    baseline = evaluate(target, target, oc, kernel=kernel).error
+    print(f"baseline epe_error={baseline!r}")
 
+    # the penalty lists form their product grid; kernel-noise cells keep the
+    # base solver settings
     cells = []
-    for name, flag in (("rho", args.sweep_rho), ("gamma", args.sweep_gamma),
-                       ("beta1", args.sweep_beta1), ("beta2", args.sweep_beta2)):
-        if flag:
-            for value in _parse_list(flag):
-                cells.append((name, value, None))
-    if args.kernel_noise:
-        for level in _parse_list(args.kernel_noise):
-            noise = rng.normal(size=kernel.samples.shape) \
-                + 1j * rng.normal(size=kernel.samples.shape)
-            noise *= level * l2_norm(kernel.samples) / l2_norm(noise)
-            cells.append(("kernel_noise", level,
-                          PsfKernel(kernel.samples + noise, config=oc)))
-    for name, value, perturbed in cells:
-        sc = base if name == "kernel_noise" else dataclasses.replace(
-            base, **{name: value})
-        k = perturbed if perturbed is not None else kernel
+    if axes:
+        for values in itertools.product(*axes.values()):
+            cell = dict(zip(axes, values))
+            cells.append((cell, dataclasses.replace(base, **cell), kernel))
+    for level in levels:
+        noise = rng.normal(size=kernel.samples.shape) \
+            + 1j * rng.normal(size=kernel.samples.shape)
+        noise *= level * l2_norm(kernel.samples) / l2_norm(noise)
+        cells.append(({"kernel_noise": level}, base,
+                      PsfKernel(kernel.samples + noise, config=oc)))
+    for cell, sc, k in cells:
         _, records = admm_optimize(target, oc, sc, kernel=k)
-        tag = f"{name}_{value:g}".replace(".", "p")
+        tag = "_".join(f"{name}_{value:g}"
+                       for name, value in cell.items()).replace(".", "p")
         write_history(records, out / f"history_{tag}.csv")
-        print(f"{name}={value:g}: final epe_error="
-              f"{records[-1].epe_error!r} -> history_{tag}.csv")
+        trace = lagrangian_trace_check(records)
+        label = " ".join(f"{name}={value:g}" for name, value in cell.items())
+        print(f"{label}: final epe_error={records[-1].epe_error!r}, "
+              f"lagrangian nonincreasing fraction "
+              f"{trace.nonincreasing_fraction:.3f} -> history_{tag}.csv")
     return 0
 
 
@@ -301,10 +317,11 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("sweep", help="parameter / kernel-noise sweep")
+    p = sub.add_parser("sweep", help="penalty product grid / kernel-noise sweep")
     p.add_argument("--target", required=True)
     p.add_argument("--rho", dest="sweep_rho",
-                   help="comma-separated rho values")
+                   help="comma-separated rho values; the penalty lists given "
+                        "form a product grid")
     p.add_argument("--gamma", dest="sweep_gamma")
     p.add_argument("--beta1", dest="sweep_beta1")
     p.add_argument("--beta2", dest="sweep_beta2")

@@ -103,16 +103,16 @@ class PsfKernel:
         return self._ops[n]
 
 
-def build_psf(cfg: OpticsConfig, oversample: int = PUPIL_OVERSAMPLE) -> PsfKernel:
+def build_psf(cfg: OpticsConfig) -> PsfKernel:
     """Inverse-transform the sampled pupil into a normalized spatial kernel.
 
     The pupil is sampled on a symmetric lattice with step
-    1/(oversample * kernel_size * pixel_size) and inverse-transformed by a
-    direct quadrature sum onto the kernel pixels, centered so the peak sits
-    at the kernel center; the result is scaled to unit DC gain (sum = 1).
+    1/(PUPIL_OVERSAMPLE * kernel_size * pixel_size) and inverse-transformed
+    by a direct quadrature sum onto the kernel pixels, centered so the peak
+    sits at the kernel center; the result is scaled to unit DC gain (sum = 1).
     """
     k = cfg.kernel_size
-    df = 1.0 / (oversample * k * cfg.pixel_size_nm)
+    df = 1.0 / (PUPIL_OVERSAMPLE * k * cfg.pixel_size_nm)
     m = int(np.ceil(cutoff_frequency(cfg) / df))
     f = np.arange(-m, m + 1) * df
     fx, fy = np.meshgrid(f, f, indexing="ij")

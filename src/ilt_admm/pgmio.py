@@ -91,6 +91,8 @@ def _read_pgm(path: Path) -> np.ndarray:
 def load_pattern(path) -> np.ndarray:
     """Load a binary target pattern from a 0/1 text grid or a PGM file.
 
+    A text token is accepted when its float value is exactly 0 or 1, so
+    the "0.0"/"1.0" grids that save_grid writes in text mode read back.
     PGM pixels at or above half of maxval map to 1, the rest to 0.
     """
     path = Path(path)
@@ -106,11 +108,15 @@ def load_pattern(path) -> np.ndarray:
             continue
         row = []
         for col, tok in enumerate(body.split(), start=1):
-            if tok not in ("0", "1"):
+            try:
+                value = float(tok)
+            except ValueError:
+                value = None
+            if value not in (0.0, 1.0):
                 raise PatternFormatError(
                     f"{path}: line {lineno}, token {col}: "
                     f"expected 0 or 1, got {tok!r}")
-            row.append(float(tok))
+            row.append(value)
         rows.append(row)
     return _require_square(rows, path)
 

@@ -23,6 +23,12 @@ from .regularization import binarity_penalty, diff_adjoint, phi, shrink, tv_norm
 
 log = logging.getLogger(__name__)
 
+# Projected Armijo search of the U-step: sufficient-decrease factor in
+# (0, 0.5), backtracking factor in (0, 1), and the first trial step.
+ARMIJO_ALPHA = 0.3
+ARMIJO_BETA = 0.5
+ARMIJO_T0 = 1.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -33,9 +39,6 @@ class SolverConfig:
     gamma: float = 30.0
     beta1: float = 0.01
     beta2: float = 0.015
-    armijo_alpha: float = 0.3
-    armijo_beta: float = 0.5
-    armijo_t0: float = 1.0
     outer_tol: float = 0.0
     outer_max_iters: int = 100
     bregman_max_iters: int = 20
@@ -47,12 +50,6 @@ class SolverConfig:
             raise ValueError("rho and gamma must be positive")
         if self.beta1 < 0 or self.beta2 < 0:
             raise ValueError("regularization weights must be nonnegative")
-        if not 0.0 < self.armijo_alpha < 0.5:
-            raise ValueError("armijo_alpha must lie in (0, 0.5)")
-        if not 0.0 < self.armijo_beta < 1.0:
-            raise ValueError("armijo_beta must lie in (0, 1)")
-        if self.armijo_t0 <= 0:
-            raise ValueError("armijo_t0 must be positive")
 
     def bregman_tolerance(self, n: int) -> float:
         return 1e-4 * n if self.bregman_tol is None else self.bregman_tol
@@ -94,17 +91,17 @@ def grad_h(v: np.ndarray, target: np.ndarray, a: float, tr: float) -> np.ndarray
     return 4.0 * a * v * (s - np.asarray(target)) * (1.0 - s) * s
 
 
-def estimate_lipschitz(a: float, tr: float, samples: int = 1_000_000,
-                       vmax: float = 3.0) -> float:
+def estimate_lipschitz(a: float, tr: float, samples: int = 1_000_000) -> float:
     """Upper estimate of the Lipschitz constant of grad_h.
 
     Each entry of grad_h is a scalar map of its own v, so the Hessian is
     diagonal; we densely sample |second derivative| of the per-entry misfit
-    over v in [0, vmax] for both target values, refine around the maximum,
+    over v in [0, 3] for both target values, refine around the maximum,
     and pad the sampled max by 1%.
     """
     if a <= 0:
         raise ValueError("steepness must be positive")
+    vmax = 3.0
 
     def second_derivative_max(v: np.ndarray) -> tuple[float, float]:
         best, best_v = 0.0, 0.0
@@ -213,7 +210,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
             g = grad_F(u, w, d, b, cfg, kernel, hu=hu, gap=gap)
             if not np.any(g):
                 break
-            t = cfg.armijo_t0
+            t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
                 u_t = project_box(u - t * g)
@@ -223,11 +220,11 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(kernel, u_t)
                 f_t, gap_t = _bregman_objective(u_t, hu_t, w, d, b, cfg)
-                if f_t <= f0 - cfg.armijo_alpha * move_sq / t:
+                if f_t <= f0 - ARMIJO_ALPHA * move_sq / t:
                     u, hu, f0, gap = u_t, hu_t, f_t, gap_t
                     accepted = True
                     break
-                t *= cfg.armijo_beta
+                t *= ARMIJO_BETA
             if not accepted:
                 break
         if not np.all(np.isfinite(u)):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ilt_admm import optics
 from ilt_admm.cli import run_cli
 from ilt_admm.pgmio import (PatternFormatError, load_config, load_mask,
                             load_pattern, read_history, save_grid,
@@ -23,14 +24,23 @@ def test_text_pattern_roundtrip(tmp_path):
 
 def test_text_pattern_diagnostics(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("0 1\n1 2\n")
-    with pytest.raises(PatternFormatError, match="line 2, token 2"):
-        load_pattern(p)
+    for bad in ("2", "0.5", "x"):
+        p.write_text(f"0 1\n1 {bad}\n")
+        with pytest.raises(PatternFormatError,
+                           match=f"line 2, token 2: expected 0 or 1, got '{bad}'"):
+            load_pattern(p)
     p.write_text("0 1 0\n1 0 1\n")
     with pytest.raises(PatternFormatError, match="non-square"):
         load_pattern(p)
     with pytest.raises(PatternFormatError, match="no such file"):
         load_pattern(tmp_path / "missing.txt")
+
+
+def test_text_pattern_reads_save_grid_text_output(tmp_path):
+    p = tmp_path / "t.txt"
+    pattern = ten_rectangles(16, width=4, margin=1)
+    save_grid(pattern, p, mode="text")
+    assert np.array_equal(load_pattern(p), pattern)
 
 
 def test_pgm_binary_roundtrip(tmp_path):
@@ -176,12 +186,14 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     target = small_target(tmp_path)
     cfg = tmp_path / "cfg"
-    cfg.write_text("kernel_size=30\nrh0=50\n")
-    assert run_cli(["optimize", "--target", str(target), "--config", str(cfg),
-                    "--outer-iters", "1", "--quiet",
-                    "--output-dir", str(tmp_path / "o")]) == 1
-    assert "rh0" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # a typo, and a solver constant that is not a setting
+    for key in ("rh0=50", "armijo_alpha=0.2"):
+        cfg.write_text(f"kernel_size=30\n{key}\n")
+        assert run_cli(["optimize", "--target", str(target), "--config", str(cfg),
+                        "--outer-iters", "1", "--quiet",
+                        "--output-dir", str(tmp_path / "o")]) == 1
+        assert key.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep(tmp_path):
@@ -197,6 +209,48 @@ def test_cli_sweep(tmp_path):
     assert files == ["history_kernel_noise_0p001.csv", "history_rho_10.csv",
                      "history_rho_5.csv"]
     assert len(read_history(out / "history_rho_5.csv")) == 1
+
+
+def test_cli_simulate_images_mask_once(tmp_path, monkeypatch):
+    target = small_target(tmp_path)
+    calls = []
+    forward = optics._ConvOperator.forward
+
+    def counting(self, u):
+        calls.append(u.shape)
+        return forward(self, u)
+
+    monkeypatch.setattr(optics._ConvOperator, "forward", counting)
+    assert run_cli(["simulate", "--mask", str(target), "--target", str(target),
+                    "--kernel-size", "20",
+                    "--output-dir", str(tmp_path / "sim")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_sweep_product_grid_matches_optimize(tmp_path):
+    target = small_target(tmp_path)
+    budget = ["--kernel-size", "30", "--outer-iters", "1",
+              "--bregman-iters", "1", "--descent-iters", "2"]
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", "--target", str(target), "--rho", "5,10",
+                    "--gamma", "20,40", "--output-dir", str(out)] + budget) == 0
+    files = sorted(f.name for f in out.iterdir())
+    assert files == ["history_rho_10_gamma_20.csv", "history_rho_10_gamma_40.csv",
+                     "history_rho_5_gamma_20.csv", "history_rho_5_gamma_40.csv"]
+    opt = tmp_path / "opt"
+    assert run_cli(["optimize", "--target", str(target), "--rho", "5",
+                    "--gamma", "20", "--quiet", "--output-dir", str(opt)]
+                   + budget) == 0
+    assert ((out / "history_rho_5_gamma_20.csv").read_bytes()
+            == (opt / "history.csv").read_bytes())
+
+
+def test_cli_sweep_malformed_list_is_usage_error(tmp_path, capsys):
+    for bad in (",", "a,b"):
+        assert run_cli(["sweep", "--target", "ten_rectangles", "--rho", bad,
+                        "--output-dir", str(tmp_path / "sw")]) == 1
+        assert "--rho" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cli_derive(capsys):

@@ -25,10 +25,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rho=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(armijo_alpha=0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_beta=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(beta1=-0.1)
 
 
