@@ -5,8 +5,11 @@ optimize (full ADMM run), evaluate (EPE metrics for a given mask),
 derive (print oracle reference values), sweep (product grid of penalty
 lists, plus kernel-noise cells, one history CSV per cell).
 
-Parameter precedence: command-line flags > config file > built-in
-defaults. Exit codes: 0 success, 1 usage error, 2 runtime error.
+Each subcommand declares only the options it reads. Setting precedence:
+command-line flags > config file > built-in defaults; the settings are
+merged, typed and checked once per run, before any output is written.
+Exit codes: 0 success, 1 usage error (a malformed or out-of-range setting
+included), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -28,8 +31,27 @@ from .pgmio import (PatternFormatError, load_config, load_mask, load_pattern,
 from .solver import (SolverConfig, admm_optimize, check_rho_condition,
                      estimate_lipschitz, lagrangian_trace_check)
 
-_OPTICS_FIELDS = {f.name: f.type for f in dataclasses.fields(OpticsConfig)}
-_SOLVER_FIELDS = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+# Every run setting as (flag, type); a config-file value is typed by its
+# flag's type, and a key outside these tables is a usage error.
+_OPTICS_FLAGS = {
+    "wavelength_nm": ("--wavelength", float),
+    "numerical_aperture": ("--na", float),
+    "defocus_nm": ("--defocus", float),
+    "pixel_size_nm": ("--pixel-size", float),
+    "kernel_size": ("--kernel-size", int),
+    "sigmoid_steepness": ("--steepness", float),
+    "threshold": ("--threshold", float),
+}
+_PENALTY_FLAGS = {name: ("--" + name, float)
+                  for name in ("rho", "gamma", "beta1", "beta2")}
+_BUDGET_FLAGS = {
+    "outer_tol": ("--outer-tol", float),
+    "outer_max_iters": ("--outer-iters", int),
+    "bregman_max_iters": ("--bregman-iters", int),
+    "bregman_tol": ("--bregman-tol", float),
+    "descent_max_iters": ("--descent-iters", int),
+}
+_SETTINGS = {**_OPTICS_FLAGS, **_PENALTY_FLAGS, **_BUDGET_FLAGS}
 
 
 class _UsageError(Exception):
@@ -41,62 +63,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_optics_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--wavelength", type=float, dest="wavelength_nm")
-    p.add_argument("--na", type=float, dest="numerical_aperture")
-    p.add_argument("--defocus", type=float, dest="defocus_nm")
-    p.add_argument("--pixel-size", type=float, dest="pixel_size_nm")
-    p.add_argument("--kernel-size", type=int, dest="kernel_size")
-    p.add_argument("--steepness", type=float, dest="sigmoid_steepness")
-    p.add_argument("--threshold", type=float, dest="threshold")
+def _checked(make, *args, **kwargs):
+    """Build a settings object; a value it rejects is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
-def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--outer-tol", type=float, dest="outer_tol")
-    p.add_argument("--outer-iters", type=int, dest="outer_max_iters")
-    p.add_argument("--bregman-iters", type=int, dest="bregman_max_iters")
-    p.add_argument("--bregman-tol", type=float, dest="bregman_tol")
-    p.add_argument("--descent-iters", type=int, dest="descent_max_iters")
-
-
-def _coerce(value: str, typename: str):
-    if "int" in typename:
-        return int(value)
-    return float(value)
-
-
-def _merged(args: argparse.Namespace, fields: dict[str, str]) -> dict:
-    """CLI flags override config-file keys, which override defaults."""
-    cfg_file = {}
-    if getattr(args, "config", None):
+def _settings(args) -> tuple[OpticsConfig, SolverConfig]:
+    """The run's optics and solver settings: flags override config-file
+    keys, which override defaults. Every key of the config file is typed
+    and checked, whichever of the two configs it belongs to."""
+    values = {}
+    if args.config:
         cfg_file = load_config(args.config)
-    unknown = sorted(cfg_file.keys() - _OPTICS_FIELDS.keys() - _SOLVER_FIELDS.keys())
-    if unknown:
-        raise _UsageError(f"{args.config}: unknown config key(s): "
-                          + ", ".join(unknown))
-    out = {}
-    for name, typename in fields.items():
-        if name in cfg_file:
-            out[name] = _coerce(cfg_file[name], str(typename))
-        flag = getattr(args, name, None)
-        if flag is not None:
-            out[name] = flag
-    return out
-
-
-def _make_optics(args) -> OpticsConfig:
-    return OpticsConfig(**_merged(args, _OPTICS_FIELDS))
-
-
-def _make_solver(args) -> SolverConfig:
-    return SolverConfig(**_merged(args, _SOLVER_FIELDS))
+        unknown = sorted(cfg_file.keys() - _SETTINGS.keys())
+        if unknown:
+            raise _UsageError(f"{args.config}: unknown config key(s): "
+                              + ", ".join(unknown))
+        for key, text in cfg_file.items():
+            try:
+                values[key] = _SETTINGS[key][1](text)
+            except ValueError as exc:
+                raise _UsageError(f"{args.config}: {key}: {exc}") from None
+    for name in _SETTINGS:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    optics_values = {k: v for k, v in values.items() if k in _OPTICS_FLAGS}
+    solver_values = {k: v for k, v in values.items() if k not in _OPTICS_FLAGS}
+    return (_checked(OpticsConfig, **optics_values),
+            _checked(SolverConfig, **solver_values))
 
 
 def _load_target(spec: str) -> np.ndarray:
@@ -113,7 +110,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_psf(args) -> int:
-    oc = _make_optics(args)
+    oc, _ = _settings(args)
     kernel = build_psf(oc)
     out = _outdir(args)
     save_grid(kernel.samples.real, out / "psf_real.txt", mode="text")
@@ -126,7 +123,7 @@ def cmd_psf(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    oc = _make_optics(args)
+    oc, _ = _settings(args)
     mask = load_mask(args.mask)
     kernel = build_psf(oc)
     v = convolve(kernel, mask)
@@ -159,8 +156,7 @@ def _save_mask_outputs(u, target, oc, kernel, records,
 
 
 def cmd_optimize(args) -> int:
-    oc = _make_optics(args)
-    sc = _make_solver(args)
+    oc, sc = _settings(args)
     target = _load_target(args.target)
     kernel = build_psf(oc)
     baseline = evaluate(target, target, oc, kernel=kernel).error
@@ -183,7 +179,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    oc = _make_optics(args)
+    oc, _ = _settings(args)
     mask = load_mask(args.mask)
     target = _load_target(args.target)
     report = evaluate(mask, target, oc)
@@ -240,8 +236,12 @@ def cmd_sweep(args) -> int:
     if not axes and not levels:
         raise _UsageError("sweep needs at least one of --rho/--gamma/"
                           "--beta1/--beta2/--kernel-noise lists")
-    oc = _make_optics(args)
-    base = _make_solver(args)
+    oc, base = _settings(args)
+    # the penalty lists form their product grid, every cell checked before
+    # any imaging or output; kernel-noise cells keep the base solver settings
+    grid = [dict(zip(axes, values))
+            for values in itertools.product(*axes.values())] if axes else []
+    solver_cfgs = [_checked(dataclasses.replace, base, **cell) for cell in grid]
     target = _load_target(args.target)
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
@@ -249,13 +249,7 @@ def cmd_sweep(args) -> int:
     baseline = evaluate(target, target, oc, kernel=kernel).error
     print(f"baseline epe_error={baseline!r}")
 
-    # the penalty lists form their product grid; kernel-noise cells keep the
-    # base solver settings
-    cells = []
-    if axes:
-        for values in itertools.product(*axes.values()):
-            cell = dict(zip(axes, values))
-            cells.append((cell, dataclasses.replace(base, **cell), kernel))
+    cells = [(cell, sc, kernel) for cell, sc in zip(grid, solver_cfgs)]
     for level in levels:
         noise = rng.normal(size=kernel.samples.shape) \
             + 1j * rng.normal(size=kernel.samples.shape)
@@ -280,41 +274,43 @@ def build_parser() -> _Parser:
                      description="Inverse lithography mask synthesis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, solver=False):
+    def settings(p, *tables, seed_help=None):
+        """--config, --output-dir, the flags of the given setting tables and,
+        with seed_help, --seed."""
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--output-dir", default="out")
-        p.add_argument("--seed", type=int, default=0)
-        _add_optics_flags(p)
-        if solver:
-            _add_penalty_flags(p)
-            _add_budget_flags(p)
+        if seed_help:
+            p.add_argument("--seed", type=int, default=0, help=seed_help)
+        for table in tables:
+            for name, (flag, kind) in table.items():
+                p.add_argument(flag, type=kind, dest=name)
 
     p = sub.add_parser("psf", help="dump the PSF kernel")
-    common(p)
+    settings(p, _OPTICS_FLAGS)
     p.set_defaults(func=cmd_psf)
 
     p = sub.add_parser("simulate", help="forward imaging chain for a mask")
     p.add_argument("--mask", required=True)
     p.add_argument("--target", help="optional target for an EPE panel")
-    common(p)
+    settings(p, _OPTICS_FLAGS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="run the ADMM mask optimization")
     p.add_argument("--target", required=True,
                    help="pattern file or builtin: " + ", ".join(targets.GENERATORS))
     p.add_argument("--quiet", action="store_true")
-    common(p, solver=True)
+    settings(p, _OPTICS_FLAGS, _PENALTY_FLAGS, _BUDGET_FLAGS,
+             seed_help="accepted for older command lines; has no effect")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="EPE metrics for a mask vs target")
     p.add_argument("--mask", required=True)
     p.add_argument("--target", required=True)
-    common(p)
+    settings(p, _OPTICS_FLAGS)
     # evaluate only prints unless an output directory is asked for
     p.set_defaults(func=cmd_evaluate, output_dir=None)
 
     p = sub.add_parser("derive", help="print brute-force oracle reference values")
-    common(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("sweep", help="penalty product grid / kernel-noise sweep")
@@ -327,13 +323,8 @@ def build_parser() -> _Parser:
     p.add_argument("--beta2", dest="sweep_beta2")
     p.add_argument("--kernel-noise",
                    help="comma-separated relative l2 noise levels for H")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--output-dir", default="out")
-    p.add_argument("--seed", type=int, default=0)
-    _add_optics_flags(p)
-    # the list flags above replace the scalar penalty flags; only the budget
-    # flags carry over
-    _add_budget_flags(p)
+    # the list flags above replace the scalar penalty flags
+    settings(p, _OPTICS_FLAGS, _BUDGET_FLAGS, seed_help="seeds --kernel-noise")
     p.set_defaults(func=cmd_sweep)
     return parser
 

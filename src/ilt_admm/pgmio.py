@@ -196,7 +196,7 @@ def write_history(records: list[ConvergenceRecord], path) -> None:
 
 
 def read_history(path) -> list[dict]:
-    """Parse a history CSV back into dicts (used by tests and sweep reports)."""
+    """Parse a history CSV back into dicts (used by the tests)."""
     with Path(path).open() as fh:
         reader = csv.DictReader(fh)
         return [

@@ -49,7 +49,9 @@ class SolverConfig:
         if self.rho <= 0 or self.gamma <= 0:
             raise ValueError("rho and gamma must be positive")
         if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError("regularization weights must be nonnegative")
+            raise ValueError("beta1 and beta2 must be nonnegative")
+        if self.outer_max_iters < 1:
+            raise ValueError("outer_max_iters must be at least 1")
 
     def bregman_tolerance(self, n: int) -> float:
         return 1e-4 * n if self.bregman_tol is None else self.bregman_tol
@@ -129,15 +131,13 @@ def check_rho_condition(rho: float, l_h: float) -> bool:
     return bool(rho / 2.0 - l_h / rho - l_h > 0.0)
 
 
-def augmented_lagrangian(u: np.ndarray, v: np.ndarray, p: np.ndarray,
-                         target: np.ndarray, cfg: SolverConfig,
-                         kernel: PsfKernel) -> float:
+def augmented_lagrangian(u: np.ndarray, hu: np.ndarray, v: np.ndarray,
+                         p: np.ndarray, target: np.ndarray, a: float, tr: float,
+                         cfg: SolverConfig) -> float:
     """h_a(V) + beta1 ||DU||_1 + beta2 ||U(1-U)||_1 + <P, V - HU>
-    + (rho/2) ||V - HU||_2^2."""
-    oc = kernel.config
-    hu = convolve(kernel, u)
+    + (rho/2) ||V - HU||_2^2, with hu = HU."""
     resid = v - hu
-    return (sigmoid_misfit(v, target, oc.sigmoid_steepness, oc.threshold)
+    return (sigmoid_misfit(v, target, a, tr)
             + cfg.beta1 * tv_norm(u)
             + cfg.beta2 * binarity_penalty(u)
             + inner(p, resid)
@@ -299,12 +299,13 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
     forms W = V + P/rho, solves the U-subproblem, applies the closed-form
     V-update at W = HU - P/rho, and ascends the dual. Stops when the EPE
     error of the printed image reaches outer_tol, or at outer_max_iters.
+    The resist steepness and threshold always come from optics_cfg; a given
+    kernel supplies only its samples.
     """
     target = as_binary(target)
     if kernel is None:
         kernel = _optics.build_psf(optics_cfg)
-    oc = kernel.config if kernel.config is not None else optics_cfg
-    a, tr, rho = oc.sigmoid_steepness, oc.threshold, cfg.rho
+    a, tr, rho = optics_cfg.sigmoid_steepness, optics_cfg.threshold, cfg.rho
 
     u = target.astype(float)
     v = convolve(kernel, u)
@@ -329,7 +330,7 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
         gap = l2_norm(p + gh) / max(l2_norm(p), 1e-300)
         rec = ConvergenceRecord(
             iteration=it,
-            lagrangian=augmented_lagrangian(u, v_new, p, target, cfg, kernel),
+            lagrangian=augmented_lagrangian(u, hu, v_new, p, target, a, tr, cfg),
             epe_error=err,
             primal_residual=l2_norm(v_new - hu),
             step_accepted=step_accepted,

@@ -1,8 +1,11 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ilt_admm import optics
-from ilt_admm.cli import run_cli
+from ilt_admm.cli import _UsageError, build_parser, run_cli
 from ilt_admm.pgmio import (PatternFormatError, load_config, load_mask,
                             load_pattern, read_history, save_grid,
                             write_history)
@@ -128,9 +131,17 @@ def small_target(tmp_path):
     return p
 
 
-def test_cli_usage_error_exit_code():
+def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli(["optimize"]) == 1
     assert run_cli(["sweep", "--target", "x"]) == 1  # no sweep lists
+    # options a subcommand does not read are not declared on it
+    target = str(small_target(tmp_path))
+    for argv in (["derive", "--kernel-size", "20"],
+                 ["psf", "--seed", "1"],
+                 ["simulate", "--mask", target, "--seed", "1"],
+                 ["evaluate", "--mask", target, "--target", target, "--seed", "1"]):
+        assert run_cli(argv + ["--output-dir", str(tmp_path / "o")]) == 1, argv
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_file_exit_code(tmp_path):
@@ -196,6 +207,51 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+def test_cli_config_rejects_malformed_value(tmp_path, capsys):
+    target = small_target(tmp_path)
+    cfg = tmp_path / "cfg"
+    for line in ("rho=abc", "kernel_size=2.5"):
+        cfg.write_text(line + "\n")
+        assert run_cli(["optimize", "--target", str(target), "--config", str(cfg),
+                        "--quiet", "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and line.split("=")[0] in err
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_out_of_range_setting_is_usage_error(tmp_path, capsys):
+    target = str(small_target(tmp_path))
+    out = str(tmp_path / "o")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("threshold=1.5\n")
+    for argv, named in (
+            (["optimize", "--target", target, "--kernel-size", "20",
+              "--outer-iters", "0", "--quiet"], "outer_max_iters"),
+            (["sweep", "--target", target, "--kernel-size", "20", "--rho", "5",
+              "--outer-iters", "0"], "outer_max_iters"),
+            (["psf", "--na", "1.5"], "numerical aperture"),
+            (["simulate", "--mask", target, "--config", str(cfg)], "threshold")):
+        assert run_cli(argv + ["--output-dir", out]) == 1, argv
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    commands = [line for block in blocks for line in block.splitlines()
+                if line.startswith("ilt-admm ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except _UsageError as exc:
+            pytest.fail(f"{line!r}: {exc}")
+
+
 def test_cli_sweep(tmp_path):
     target = small_target(tmp_path)
     out = tmp_path / "sw"
@@ -246,10 +302,14 @@ def test_cli_sweep_product_grid_matches_optimize(tmp_path):
 
 
 def test_cli_sweep_malformed_list_is_usage_error(tmp_path, capsys):
-    for bad in (",", "a,b"):
+    # "0,5" parses, but its rho=0 cell is out of range: every cell is
+    # checked before the baseline is imaged or the directory made
+    for bad, named in ((",", "--rho"), ("a,b", "--rho"), ("0,5", "rho")):
         assert run_cli(["sweep", "--target", "ten_rectangles", "--rho", bad,
                         "--output-dir", str(tmp_path / "sw")]) == 1
-        assert "--rho" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
     assert not (tmp_path / "sw").exists()
 
 

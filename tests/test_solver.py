@@ -26,6 +26,8 @@ def test_solver_config_validation():
         SolverConfig(rho=0.0)
     with pytest.raises(ValueError):
         SolverConfig(beta1=-0.1)
+    with pytest.raises(ValueError, match="outer_max_iters"):
+        SolverConfig(outer_max_iters=0)
 
 
 def test_bregman_tolerance_default_scales_with_size():
@@ -107,24 +109,26 @@ def test_augmented_lagrangian_splitting_consistency():
     want = (sigmoid_misfit(v, target, SMALL_OPTICS.sigmoid_steepness,
                            SMALL_OPTICS.threshold)
             + cfg.beta1 * tv_norm(u) + cfg.beta2 * binarity_penalty(u))
-    got = augmented_lagrangian(u, v, p, target, cfg, kernel)
+    got = augmented_lagrangian(u, v, v, p, target, SMALL_OPTICS.sigmoid_steepness,
+                               SMALL_OPTICS.threshold, cfg)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_augmented_lagrangian_recomposition():
-    kernel = PsfKernel(RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5)),
-                       config=SMALL_OPTICS)
+    kernel = PsfKernel(RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5)))
     cfg = SolverConfig()
     u = RNG.random((8, 8))
     v = RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8))
     p = RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8))
     target = (RNG.random((8, 8)) < 0.5).astype(float)
-    resid = v - convolve(kernel, u)
+    hu = convolve(kernel, u)
+    resid = v - hu
     want = (sigmoid_misfit(v, target, SMALL_OPTICS.sigmoid_steepness,
                            SMALL_OPTICS.threshold)
             + cfg.beta1 * tv_norm(u) + cfg.beta2 * binarity_penalty(u)
             + inner(p, resid) + 0.5 * cfg.rho * float(np.sum(np.abs(resid) ** 2)))
-    got = augmented_lagrangian(u, v, p, target, cfg, kernel)
+    got = augmented_lagrangian(u, hu, v, p, target, SMALL_OPTICS.sigmoid_steepness,
+                               SMALL_OPTICS.threshold, cfg)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -228,6 +232,20 @@ def test_admm_is_deterministic():
     u2, r2 = admm_optimize(target, SMALL_OPTICS, cfg)
     assert np.array_equal(u1, u2)
     assert [r.lagrangian for r in r1] == [r.lagrangian for r in r2]
+
+
+def test_admm_reads_resist_parameters_from_optics_config_only():
+    # a kernel built from bare samples carries no optics config; the solver
+    # must take a and tr from its optics argument alone
+    target = np.zeros((48, 48))
+    target[12:36, 16:32] = 1.0
+    cfg = SolverConfig(outer_max_iters=2)
+    kernel = build_psf(SMALL_OPTICS)
+    u1, r1 = admm_optimize(target, SMALL_OPTICS, cfg, kernel=kernel)
+    u2, r2 = admm_optimize(target, SMALL_OPTICS, cfg,
+                           kernel=PsfKernel(kernel.samples))
+    assert u1.tobytes() == u2.tobytes()
+    assert repr(r1) == repr(r2)
 
 
 def test_trace_check_synthetic():
