@@ -215,14 +215,19 @@ def cmd_derive(args) -> int:
 
 
 def _parse_list(flag: str, text: str) -> list[float]:
-    """A comma-separated list of numbers; a malformed or empty list is a
-    usage error that names its flag."""
+    """A comma-separated list of numbers; a malformed or empty list, or one
+    that repeats a value, is a usage error that names its flag."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"--{flag}: {exc}") from None
     if not values:
         raise _UsageError(f"--{flag}: no values in {text!r}")
+    # each value tags its cell's history file by its :g form
+    tags = [f"{v:g}" for v in values]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise _UsageError(f"--{flag}: value {tag} given twice in {text!r}")
     return values
 
 

@@ -126,13 +126,21 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     return PsfKernel(samples=h, config=cfg)
 
 
+# A kernel whose imaginary part has at most this share of its l1 norm is
+# real up to rounding (2.5e-16 at best focus, 0.11 at 10 nm defocus) and
+# convolves by real-input FFTs.
+REAL_KERNEL_RTOL = 1e-12
+
+
 class _ConvOperator:
     """Zero-padded linear convolution with a fixed kernel and input size,
     plus its exact adjoint (correlation with the conjugate kernel).
 
-    Both directions share one cached kernel spectrum on the smallest fast
-    FFT lattice on which cyclic convolution equals linear convolution over
-    the central n x n window.
+    Both directions work on the smallest fast FFT lattice on which cyclic
+    convolution equals linear convolution over the central n x n window.
+    A real kernel convolves by rfft2/irfft2 and returns a real image; any
+    other kernel by fft2/ifft2. The adjoint always uses the complex pair
+    and builds its conjugate spectrum on its first call.
     """
 
     def __init__(self, kernel: np.ndarray, n: int):
@@ -143,34 +151,56 @@ class _ConvOperator:
         # wrap-around lands outside the central window; the kernel must fit
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k))
         self.shape = (size, size)
-        self.kernel_hat = sfft.fft2(kernel, self.shape)
+        self.kernel = kernel
+        self.real = bool(np.abs(kernel.imag).sum()
+                         <= REAL_KERNEL_RTOL * np.abs(kernel).sum())
+        if self.real:
+            self.fft, self.ifft = sfft.rfft2, sfft.irfft2
+            self.kernel_hat = sfft.rfft2(kernel.real, self.shape)
+        else:
+            self.fft, self.ifft = sfft.fft2, sfft.ifft2
+            self.kernel_hat = sfft.fft2(kernel, self.shape)
+        self._adjoint_hat = None
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
-        full = sfft.ifft2(sfft.fft2(u, self.shape) * self.kernel_hat)
+        u_hat = self.fft(u, self.shape)
+        u_hat *= self.kernel_hat
+        full = self.ifft(u_hat, self.shape, overwrite_x=True)
         s, n = self.crop, self.n
         return full[s:s + n, s:s + n]
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """Exact adjoint of forward: embed at the crop offset, multiply by
-        the conjugate spectrum, crop at the origin."""
+        """Re{H^* x}, the exact adjoint of forward on real grids: embed at
+        the crop offset, multiply by the conjugate spectrum, crop at the
+        origin."""
+        if self._adjoint_hat is None:
+            self._adjoint_hat = np.conj(
+                sfft.fft2(self.kernel, self.shape) if self.real
+                else self.kernel_hat)
         s, n = self.crop, self.n
         y = np.zeros(self.shape, dtype=complex)
         y[s:s + n, s:s + n] = x
-        full = sfft.ifft2(sfft.fft2(y) * np.conj(self.kernel_hat))
-        return full[:n, :n]
+        y_hat = sfft.fft2(y, overwrite_x=True)
+        y_hat *= self._adjoint_hat
+        full = sfft.ifft2(y_hat, overwrite_x=True)
+        return full[:n, :n].real
 
 
 def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
-    """H * U: zero-padded linear 2-D convolution, central n x n window."""
+    """H * U: zero-padded linear 2-D convolution, central n x n window.
+    The mask must be real."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise GridError(f"mask must be square, got shape {u.shape}")
+    if np.iscomplexobj(u):
+        raise GridError("mask must be real, got complex data")
     return kernel.op(u.shape[0]).forward(u)
 
 
 def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:
-    """H^* X: the adjoint of convolve (correlation with the conjugate kernel)."""
+    """Re{H^* X}: the adjoint of convolve on real masks (the real part of
+    the correlation with the conjugate kernel)."""
     x = np.asarray(x)
     return kernel.op(x.shape[0]).adjoint(x)
 

@@ -9,7 +9,6 @@ residual, the dual identity P = -grad h(V)) are monitored, not enforced.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,8 +19,6 @@ from .grids import as_binary, inner, l2_norm, project_box
 from .metrics import epe_error
 from .optics import PsfKernel, convolve, convolve_adjoint, image_sigmoid
 from .regularization import binarity_penalty, diff_adjoint, phi, shrink, tv_norm
-
-log = logging.getLogger(__name__)
 
 # Projected Armijo search of the U-step: sufficient-decrease factor in
 # (0, 0.5), backtracking factor in (0, 1), and the first trial step.
@@ -52,6 +49,9 @@ class SolverConfig:
             raise ValueError("beta1 and beta2 must be nonnegative")
         if self.outer_max_iters < 1:
             raise ValueError("outer_max_iters must be at least 1")
+        for name in ("bregman_max_iters", "descent_max_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def bregman_tolerance(self, n: int) -> float:
         return 1e-4 * n if self.bregman_tol is None else self.bregman_tol
@@ -166,7 +166,7 @@ def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
     """
     if hu is None:
         hu = convolve(kernel, u)
-    data = 2.0 * np.real(convolve_adjoint(kernel, hu - w))
+    data = 2.0 * convolve_adjoint(kernel, hu - w)
     if gap is None:
         gap = d - phi(u, cfg.beta1, cfg.beta2) - b
     tv_term = cfg.gamma * cfg.beta1 * diff_adjoint(gap[0], gap[1])

@@ -229,6 +229,10 @@ def test_cli_out_of_range_setting_is_usage_error(tmp_path, capsys):
               "--outer-iters", "0", "--quiet"], "outer_max_iters"),
             (["sweep", "--target", target, "--kernel-size", "20", "--rho", "5",
               "--outer-iters", "0"], "outer_max_iters"),
+            (["optimize", "--target", target, "--kernel-size", "20",
+              "--bregman-iters", "-1", "--quiet"], "bregman_max_iters"),
+            (["optimize", "--target", target, "--kernel-size", "20",
+              "--descent-iters", "-3", "--quiet"], "descent_max_iters"),
             (["psf", "--na", "1.5"], "numerical aperture"),
             (["simulate", "--mask", target, "--config", str(cfg)], "threshold")):
         assert run_cli(argv + ["--output-dir", out]) == 1, argv
@@ -303,8 +307,11 @@ def test_cli_sweep_product_grid_matches_optimize(tmp_path):
 
 def test_cli_sweep_malformed_list_is_usage_error(tmp_path, capsys):
     # "0,5" parses, but its rho=0 cell is out of range: every cell is
-    # checked before the baseline is imaged or the directory made
-    for bad, named in ((",", "--rho"), ("a,b", "--rho"), ("0,5", "rho")):
+    # checked before the baseline is imaged or the directory made; a
+    # repeated value, also one repeated only in its :g form, would write
+    # the same history file twice
+    for bad, named in ((",", "--rho"), ("a,b", "--rho"), ("0,5", "rho"),
+                       ("5,5", "--rho"), ("5,5.0000001", "--rho")):
         assert run_cli(["sweep", "--target", "ten_rectangles", "--rho", bad,
                         "--output-dir", str(tmp_path / "sw")]) == 1
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ilt_admm.grids import GridError
 from ilt_admm.optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
                              build_pupil, convolve, convolve_adjoint,
                              cutoff_frequency, image_sigmoid, image_threshold)
@@ -104,22 +105,41 @@ def complex_normal(shape):
 
 
 def test_convolve_matches_naive():
+    # complex kernels take the fft2 path, real ones the rfft2 path
     for k, n in LATTICE_CASES:
         for _ in range(3):
-            kernel = PsfKernel(complex_normal((k, k)))
-            u = RNG.random((n, n))
-            want = convolve_naive(kernel.samples, u)
-            assert np.abs(convolve(kernel, u) - want).max() < 1e-10, (k, n)
+            for samples in (complex_normal((k, k)), RNG.normal(size=(k, k))):
+                kernel = PsfKernel(samples)
+                u = RNG.random((n, n))
+                want = convolve_naive(kernel.samples, u)
+                assert np.abs(convolve(kernel, u) - want).max() < 1e-10, (k, n)
 
 
 def test_convolve_adjoint_identity():
-    # <H u, x> = <u, H^* x> for the complex Hermitian inner product
+    # Re<H u, x> = <u, H^* x> for a real mask u and a complex x
     for k, n in LATTICE_CASES:
-        kernel = PsfKernel(complex_normal((k, k)))
-        u, x = complex_normal((n, n)), complex_normal((n, n))
-        lhs = np.vdot(convolve(kernel, u), x)
-        rhs = np.vdot(u, convolve_adjoint(kernel, x))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), (k, n)
+        for samples in (complex_normal((k, k)), RNG.normal(size=(k, k))):
+            kernel = PsfKernel(samples)
+            u, x = RNG.normal(size=(n, n)), complex_normal((n, n))
+            lhs = np.vdot(convolve(kernel, u), x).real
+            rhs = np.vdot(u, convolve_adjoint(kernel, x))
+            assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), (k, n)
+
+
+def test_real_psf_takes_real_fft_path():
+    n = 30
+    u = RNG.random((n, n))
+    focus = build_psf(OpticsConfig(kernel_size=20))
+    assert focus.op(n).real
+    assert convolve(focus, u).dtype == np.float64
+    defocus = build_psf(OpticsConfig(kernel_size=20, defocus_nm=10.0))
+    assert not defocus.op(n).real
+    assert np.iscomplexobj(convolve(defocus, u))
+
+
+def test_convolve_rejects_complex_mask():
+    with pytest.raises(GridError):
+        convolve(PsfKernel(np.ones((3, 3))), np.ones((4, 4), dtype=complex))
 
 
 def test_production_lattice_is_196():

@@ -28,6 +28,10 @@ def test_solver_config_validation():
         SolverConfig(beta1=-0.1)
     with pytest.raises(ValueError, match="outer_max_iters"):
         SolverConfig(outer_max_iters=0)
+    with pytest.raises(ValueError, match="bregman_max_iters"):
+        SolverConfig(bregman_max_iters=-1)
+    with pytest.raises(ValueError, match="descent_max_iters"):
+        SolverConfig(descent_max_iters=-1)
 
 
 def test_bregman_tolerance_default_scales_with_size():
