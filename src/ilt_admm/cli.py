@@ -268,7 +268,9 @@ def cmd_sweep(args) -> int:
         write_history(records, out / f"history_{tag}.csv")
         trace = lagrangian_trace_check(records)
         label = " ".join(f"{name}={value:g}" for name, value in cell.items())
-        print(f"{label}: final epe_error={records[-1].epe_error!r}, "
+        # admm_optimize returns the outer iterate with the lowest EPE
+        best = min(r.epe_error for r in records)
+        print(f"{label}: final epe_error={best!r}, "
               f"lagrangian nonincreasing fraction "
               f"{trace.nonincreasing_fraction:.3f} -> history_{tag}.csv")
     return 0

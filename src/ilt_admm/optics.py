@@ -139,7 +139,7 @@ class _ConvOperator:
     Both directions work on the smallest fast FFT lattice on which cyclic
     convolution equals linear convolution over the central n x n window.
     A real kernel convolves by rfft2/irfft2 and returns a real image; any
-    other kernel by fft2/ifft2. The adjoint always uses the complex pair
+    other kernel by fft2/ifft2. The adjoint uses the same transform pair
     and builds its conjugate spectrum on its first call.
     """
 
@@ -173,17 +173,16 @@ class _ConvOperator:
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """Re{H^* x}, the exact adjoint of forward on real grids: embed at
         the crop offset, multiply by the conjugate spectrum, crop at the
-        origin."""
+        origin. A real kernel correlates Re x only, since
+        Re{H^* x} = H^T Re x."""
         if self._adjoint_hat is None:
-            self._adjoint_hat = np.conj(
-                sfft.fft2(self.kernel, self.shape) if self.real
-                else self.kernel_hat)
+            self._adjoint_hat = np.conj(self.kernel_hat)
         s, n = self.crop, self.n
-        y = np.zeros(self.shape, dtype=complex)
-        y[s:s + n, s:s + n] = x
-        y_hat = sfft.fft2(y, overwrite_x=True)
+        y = np.zeros(self.shape, dtype=float if self.real else complex)
+        y[s:s + n, s:s + n] = x.real if self.real else x
+        y_hat = self.fft(y, self.shape, overwrite_x=True)
         y_hat *= self._adjoint_hat
-        full = sfft.ifft2(y_hat, overwrite_x=True)
+        full = self.ifft(y_hat, self.shape, overwrite_x=True)
         return full[:n, :n].real
 
 

@@ -132,6 +132,18 @@ def test_real_psf_takes_real_fft_path():
     focus = build_psf(OpticsConfig(kernel_size=20))
     assert focus.op(n).real
     assert convolve(focus, u).dtype == np.float64
+    # the adjoint takes the same real transforms and drops Im x exactly,
+    # as Re{H^* x} = H^T Re x asks of a real kernel
+    x = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+    got = convolve_adjoint(focus, x)
+    assert got.dtype == np.float64
+    op = focus.op(n)
+    s = op.crop
+    y = np.zeros(op.shape, dtype=complex)
+    y[s:s + n, s:s + n] = x
+    want = np.fft.ifft2(np.fft.fft2(y)
+                        * np.conj(np.fft.fft2(focus.samples, op.shape)))
+    assert np.abs(got - want[:n, :n].real).max() < 1e-12
     defocus = build_psf(OpticsConfig(kernel_size=20, defocus_nm=10.0))
     assert not defocus.op(n).real
     assert np.iscomplexobj(convolve(defocus, u))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ilt_admm.grids import inner
+from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
 from ilt_admm.oracles import fd_gradient, v_oracle
 from ilt_admm.regularization import binarity_penalty, phi, tv_norm
@@ -226,6 +227,19 @@ def test_admm_records_and_feasibility():
     assert u.min() >= 0.0 and u.max() <= 1.0
     assert [r.iteration for r in records] == [1, 2, 3]
     assert all(np.isfinite(r.lagrangian) for r in records)
+
+
+def test_admm_returns_lowest_epe_outer_iterate():
+    # this run's EPE passes its minimum mid-run and ends higher; the mask
+    # returned must be the one at the minimum, not the last one
+    target = np.zeros((32, 32))
+    target[8:24, 8:24] = 1.0
+    cfg = SolverConfig(outer_max_iters=20, bregman_max_iters=5,
+                       descent_max_iters=10)
+    u, records = admm_optimize(target, SMALL_OPTICS, cfg)
+    best = min(r.epe_error for r in records)
+    assert best < records[-1].epe_error
+    assert evaluate(u, target, SMALL_OPTICS).error == best
 
 
 def test_admm_is_deterministic():
