@@ -11,7 +11,8 @@ defocus enters as a phase aberration inside the pupil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import fft as sfft
@@ -42,6 +43,11 @@ class OpticsConfig:
     threshold: float = 0.3
 
     def __post_init__(self):
+        # nan passes every comparison below, so finiteness comes first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength must be positive")
         if not 0.0 < self.numerical_aperture < 1.0:
@@ -137,10 +143,11 @@ class _ConvOperator:
     plus its exact adjoint (correlation with the conjugate kernel).
 
     Both directions work on the smallest fast FFT lattice on which cyclic
-    convolution equals linear convolution over the central n x n window.
-    A real kernel convolves by rfft2/irfft2 and returns a real image; any
-    other kernel by fft2/ifft2. The adjoint uses the same transform pair
-    and builds its conjugate spectrum on its first call.
+    convolution equals linear convolution over the central n x n window:
+    5-smooth for a real kernel, which convolves by rfft2/irfft2 and returns
+    a real image, 11-smooth for any other kernel, which takes fft2/ifft2.
+    The adjoint uses the same transform pair; on its first call it builds
+    its conjugate spectrum and the zeroed lattice it embeds its input in.
     """
 
     def __init__(self, kernel: np.ndarray, n: int):
@@ -148,12 +155,14 @@ class _ConvOperator:
         self.n = n
         self.k = k
         self.crop = (k - 1) // 2  # central-window offset into the full conv
-        # wrap-around lands outside the central window; the kernel must fit
-        size = sfft.next_fast_len(max(n + k - 1 - self.crop, k))
-        self.shape = (size, size)
         self.kernel = kernel
         self.real = bool(np.abs(kernel.imag).sum()
                          <= REAL_KERNEL_RTOL * np.abs(kernel).sum())
+        # wrap-around lands outside the central window; the kernel must fit.
+        # Real transforms get a 5-smooth length: pocketfft's real FFTs take
+        # any factor 7 through their slow generic radix.
+        size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
+        self.shape = (size, size)
         if self.real:
             self.fft, self.ifft = sfft.rfft2, sfft.irfft2
             self.kernel_hat = sfft.rfft2(kernel.real, self.shape)
@@ -161,6 +170,7 @@ class _ConvOperator:
             self.fft, self.ifft = sfft.fft2, sfft.ifft2
             self.kernel_hat = sfft.fft2(kernel, self.shape)
         self._adjoint_hat = None
+        self._lattice = None  # the adjoint's input lattice, zero off the window
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
@@ -177,10 +187,12 @@ class _ConvOperator:
         Re{H^* x} = H^T Re x."""
         if self._adjoint_hat is None:
             self._adjoint_hat = np.conj(self.kernel_hat)
+            self._lattice = np.zeros(self.shape,
+                                     dtype=float if self.real else complex)
         s, n = self.crop, self.n
-        y = np.zeros(self.shape, dtype=float if self.real else complex)
+        y = self._lattice
         y[s:s + n, s:s + n] = x.real if self.real else x
-        y_hat = self.fft(y, self.shape, overwrite_x=True)
+        y_hat = self.fft(y, self.shape)  # keeps y, and its zero border, intact
         y_hat *= self._adjoint_hat
         full = self.ifft(y_hat, self.shape, overwrite_x=True)
         return full[:n, :n].real

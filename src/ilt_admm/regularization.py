@@ -13,15 +13,23 @@ import numpy as np
 from .grids import GridError
 
 
+def _differences(u: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> None:
+    """Write the forward differences of u along columns into dx and along
+    rows into dy, closing the trailing column/row with zeros."""
+    if u.shape[0] < 2 or u.shape[1] < 2:
+        raise GridError("differences need at least a 2x2 grid")
+    np.subtract(u[:, 1:], u[:, :-1], out=dx[:, :-1])
+    dx[:, -1] = 0.0
+    np.subtract(u[1:, :], u[:-1, :], out=dy[:-1, :])
+    dy[-1, :] = 0.0
+
+
 def diff_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences along columns (x) and rows (y); the trailing
     column/row is closed with zeros."""
-    if u.shape[0] < 2 or u.shape[1] < 2:
-        raise GridError("differences need at least a 2x2 grid")
-    dx = np.zeros_like(u, dtype=float)
-    dy = np.zeros_like(u, dtype=float)
-    dx[:, :-1] = u[:, 1:] - u[:, :-1]
-    dy[:-1, :] = u[1:, :] - u[:-1, :]
+    dx = np.empty(u.shape)
+    dy = np.empty(u.shape)
+    _differences(u, dx, dy)
     return dx, dy
 
 
@@ -55,8 +63,12 @@ def binarity_penalty(u: np.ndarray) -> float:
 def phi(u: np.ndarray, beta1: float, beta2: float) -> np.ndarray:
     """The splitting map (b1*Dx U, b1*Dy U, b2*U(1-U)) as a (3, n, n) array:
     [0] the x difference, [1] the y difference, [2] the binarity penalty."""
-    dx, dy = diff_forward(u)
-    return np.stack((beta1 * dx, beta1 * dy, beta2 * u * (1.0 - u)))
+    out = np.empty((3,) + u.shape)
+    _differences(u, out[0], out[1])
+    out[:2] *= beta1
+    np.multiply(beta2, u, out=out[2])
+    out[2] *= 1.0 - u
+    return out
 
 
 def shrink(x, kappa: float) -> np.ndarray:

@@ -9,7 +9,8 @@ residual, V increments) are monitored, not enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +47,12 @@ class SolverConfig:
     descent_max_iters: int = 10
 
     def __post_init__(self):
+        # nan passes every comparison below, so finiteness comes first;
+        # bregman_tol=None stays allowed
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.rho <= 0 or self.gamma <= 0:
             raise ValueError("rho and gamma must be positive")
         if self.beta1 < 0 or self.beta2 < 0:
@@ -147,32 +154,44 @@ def augmented_lagrangian(u: np.ndarray, hu: np.ndarray, v: np.ndarray,
 
 def _bregman_objective(u: np.ndarray, hu: np.ndarray, w: np.ndarray,
                        d: np.ndarray, b: np.ndarray,
-                       cfg: SolverConfig) -> tuple[float, np.ndarray]:
+                       cfg: SolverConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2, returned with
-    the split gap d - Phi(U) - b so grad_F at U can reuse it."""
-    gap = d - phi(u, cfg.beta1, cfg.beta2) - b
-    f = float(np.sum(np.abs(hu - w) ** 2)) + 0.5 * cfg.gamma * float(np.sum(gap ** 2))
-    return f, gap
+    the residual HU - W and the split gap d - Phi(U) - b so grad_F at U can
+    reuse them."""
+    resid = hu - w
+    gap = phi(u, cfg.beta1, cfg.beta2)
+    np.subtract(d, gap, out=gap)
+    gap -= b
+    f = float(np.sum(np.abs(resid) ** 2)) + 0.5 * cfg.gamma * float(np.sum(gap ** 2))
+    return f, resid, gap
 
 
 def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
            cfg: SolverConfig, kernel: PsfKernel,
-           hu: Optional[np.ndarray] = None,
+           resid: Optional[np.ndarray] = None,
            gap: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient of the Bregman subproblem objective F at U.
 
     2 Re{H^*(HU - W)} - gamma*beta1 D^T(gap[0], gap[1])
     + gamma*beta2 gap[2] (2U - 1), with gap = d - Phi(U) - b.
-    hu = HU and gap are computed when not given.
+    The residual resid = HU - W and gap are computed when not given.
     """
-    if hu is None:
-        hu = convolve(kernel, u)
-    data = 2.0 * convolve_adjoint(kernel, hu - w)
+    if resid is None:
+        resid = convolve(kernel, u) - w
+    grad = 2.0 * convolve_adjoint(kernel, resid)
     if gap is None:
         gap = d - phi(u, cfg.beta1, cfg.beta2) - b
-    tv_term = cfg.gamma * cfg.beta1 * diff_adjoint(gap[0], gap[1])
-    pen_term = cfg.gamma * cfg.beta2 * gap[2] * (2.0 * u - 1.0)
-    return data - tv_term + pen_term
+    # in place, but in the formula's operation order, so the rounding is
+    # that of (data - tv) + (gamma*beta2 gap[2]) (2U - 1)
+    tv = diff_adjoint(gap[0], gap[1])
+    tv *= cfg.gamma * cfg.beta1
+    grad -= tv
+    pen = np.multiply(cfg.gamma * cfg.beta2, gap[2])
+    slope = np.multiply(2.0, u, out=tv)  # tv's buffer is free again
+    slope -= 1.0
+    pen *= slope
+    grad += pen
+    return grad
 
 
 def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
@@ -204,11 +223,11 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
 
     for _ in range(cfg.bregman_max_iters):
         u_sweep_start = u
-        # F and the split gap at the current U; an accepted trial carries
-        # its own into the next descent step
-        f0, gap = _bregman_objective(u, hu, w, d, b, cfg)
+        # F, the residual HU - W and the split gap at the current U; an
+        # accepted trial carries its own into the next descent step
+        f0, resid, gap = _bregman_objective(u, hu, w, d, b, cfg)
         for _ in range(cfg.descent_max_iters):
-            g = grad_F(u, w, d, b, cfg, kernel, hu=hu, gap=gap)
+            g = grad_F(u, w, d, b, cfg, kernel, resid=resid, gap=gap)
             if not np.any(g):
                 break
             t = ARMIJO_T0
@@ -220,9 +239,9 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(kernel, u_t)
-                f_t, gap_t = _bregman_objective(u_t, hu_t, w, d, b, cfg)
+                f_t, resid_t, gap_t = _bregman_objective(u_t, hu_t, w, d, b, cfg)
                 if f_t <= f0 - ARMIJO_ALPHA * move_sq / t:
-                    u, hu, f0, gap = u_t, hu_t, f_t, gap_t
+                    u, hu, f0, resid, gap = u_t, hu_t, f_t, resid_t, gap_t
                     accepted = True
                     break
                 t *= ARMIJO_BETA

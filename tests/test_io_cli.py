@@ -234,7 +234,20 @@ def test_cli_out_of_range_setting_is_usage_error(tmp_path, capsys):
             (["optimize", "--target", target, "--kernel-size", "20",
               "--descent-iters", "-3", "--quiet"], "descent_max_iters"),
             (["psf", "--na", "1.5"], "numerical aperture"),
-            (["simulate", "--mask", target, "--config", str(cfg)], "threshold")):
+            (["simulate", "--mask", target, "--config", str(cfg)], "threshold"),
+            *((["optimize", "--target", target, "--kernel-size", "20",
+                "--outer-iters", "1", flag, value, "--quiet"], named)
+              for flag, value, named in (
+                  ("--beta1", "nan", "beta1"), ("--beta2", "inf", "beta2"),
+                  ("--gamma", "inf", "gamma"),
+                  ("--steepness", "inf", "sigmoid_steepness"),
+                  ("--bregman-tol", "nan", "bregman_tol"),
+                  ("--outer-tol", "nan", "outer_tol"), ("--rho", "nan", "rho"),
+                  ("--pixel-size", "nan", "pixel_size_nm"),
+                  ("--wavelength", "inf", "wavelength_nm"),
+                  ("--defocus", "nan", "defocus_nm"))),
+            (["sweep", "--target", target, "--kernel-size", "20",
+              "--rho", "5,nan", "--outer-iters", "1"], "rho")):
         assert run_cli(argv + ["--output-dir", out]) == 1, argv
         captured = capsys.readouterr()
         assert named in captured.err

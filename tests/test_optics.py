@@ -27,6 +27,11 @@ def test_config_validation():
         OpticsConfig(threshold=0.0)
     with pytest.raises(ValueError):
         OpticsConfig(wavelength_nm=-1.0)
+    for name in ("wavelength_nm", "numerical_aperture", "defocus_nm",
+                 "pixel_size_nm", "sigmoid_steepness", "threshold"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                OpticsConfig(**{name: bad})
 
 
 def test_pupil_inside_and_outside_cutoff():
@@ -154,9 +159,24 @@ def test_convolve_rejects_complex_mask():
         convolve(PsfKernel(np.ones((3, 3))), np.ones((4, 4), dtype=complex))
 
 
-def test_production_lattice_is_196():
-    # smallest fast length >= 144 + 100 - 1 - 49 = 194
-    assert PsfKernel(np.ones((100, 100))).op(144).shape == (196, 196)
+def test_production_lattices():
+    # smallest fast length >= 144 + 100 - 1 - 49 = 194: 5-smooth 200 = 2^3 5^2
+    # for the real transforms of a best-focus PSF, 196 = 2^2 7^2 for the
+    # complex transforms of a defocused one
+    assert build_psf(PRODUCTION).op(144).shape == (200, 200)
+    assert build_psf(OpticsConfig(defocus_nm=50.0)).op(144).shape == (196, 196)
+
+
+def test_adjoint_reuses_its_lattice_exactly():
+    # the adjoint embeds each input in one lattice it keeps zero off the
+    # window: a second call must equal a fresh operator's first call
+    n = 9
+    for samples in (RNG.normal(size=(6, 6)), complex_normal((6, 6))):
+        kernel = PsfKernel(samples)
+        x1, x2 = complex_normal((n, n)), complex_normal((n, n))
+        convolve_adjoint(kernel, x1)
+        got = convolve_adjoint(kernel, x2)
+        assert np.array_equal(got, convolve_adjoint(PsfKernel(samples), x2))
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():

@@ -30,6 +30,8 @@ def test_diff_forward_ramp():
 def test_diff_rejects_degenerate_grids():
     with pytest.raises(GridError):
         diff_forward(np.zeros((1, 4)))
+    with pytest.raises(GridError):
+        phi(np.zeros((1, 1)), 0.01, 0.015)
 
 
 @given(grids_6x6, grids_6x6, grids_6x6)
@@ -59,13 +61,15 @@ def test_binarity_penalty_zero_on_binary():
 
 
 def test_phi_components():
-    u = RNG.random((6, 6))
-    t = phi(u, beta1=0.01, beta2=0.015)
-    dx, dy = diff_forward(u)
-    assert t.shape == (3, 6, 6)
-    assert np.allclose(t[0], 0.01 * dx)
-    assert np.allclose(t[1], 0.01 * dy)
-    assert np.allclose(t[2], 0.015 * u * (1.0 - u))
+    # phi writes into one array; its values must be those of the
+    # component-wise formula bit for bit, with beta2 * u applied before (1 - u)
+    for n, b1, b2 in ((6, 0.01, 0.015), (11, 0.3, 7.0), (2, 1.0, 0.0)):
+        u = RNG.random((n, n))
+        u[0, 0], u[-1, -1] = 0.0, 1.0
+        t = phi(u, beta1=b1, beta2=b2)
+        dx, dy = diff_forward(u)
+        assert t.shape == (3, n, n)
+        assert np.array_equal(t, np.stack((b1 * dx, b1 * dy, b2 * u * (1.0 - u))))
 
 
 def test_phi_l1_matches_weighted_norms():

@@ -6,7 +6,8 @@ from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
 from ilt_admm.oracles import fd_gradient, v_oracle
 from ilt_admm.regularization import binarity_penalty, phi, tv_norm
-from ilt_admm.solver import (ConvergenceRecord, SolverConfig, admm_optimize,
+from ilt_admm.solver import (ConvergenceRecord, SolverConfig, _bregman_objective,
+                             admm_optimize,
                              augmented_lagrangian, check_rho_condition,
                              dual_update,
                              estimate_lipschitz, grad_F, grad_h,
@@ -33,6 +34,12 @@ def test_solver_config_validation():
         SolverConfig(bregman_max_iters=-1)
     with pytest.raises(ValueError, match="descent_max_iters"):
         SolverConfig(descent_max_iters=-1)
+    # nan passes a "<= 0" test, so every float setting is checked finite
+    for name in ("rho", "gamma", "beta1", "beta2", "outer_tol", "bregman_tol"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+    assert SolverConfig(bregman_tol=None).bregman_tol is None
 
 
 def test_bregman_tolerance_default_scales_with_size():
@@ -79,6 +86,27 @@ def test_grad_F_matches_finite_differences_with_nonzero_bregman_state():
         want = fd_gradient(f, u)
         got = grad_F(u, w, d, b, cfg, kernel)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
+
+
+def test_grad_F_reusing_residual_and_gap_is_bit_identical():
+    # the U-step hands grad_F the residual HU - W and the gap of its last
+    # objective evaluation; the gradient must equal one built from scratch
+    cfg = SolverConfig()
+    n = 12
+    for kernel in (small_kernel(),
+                   build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))):
+        u = RNG.random((n, n))
+        w = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+        d = RNG.normal(size=(3, n, n))
+        b = RNG.normal(size=(3, n, n))
+        hu = convolve(kernel, u)
+        f, resid, gap = _bregman_objective(u, hu, w, d, b, cfg)
+        assert np.array_equal(resid, hu - w)
+        assert np.array_equal(gap, d - phi(u, cfg.beta1, cfg.beta2) - b)
+        assert f == (float(np.sum(np.abs(hu - w) ** 2))
+                     + 0.5 * cfg.gamma * float(np.sum(gap ** 2)))
+        got = grad_F(u, w, d, b, cfg, kernel, resid=resid, gap=gap)
+        assert np.array_equal(got, grad_F(u, w, d, b, cfg, kernel))
 
 
 def test_estimate_lipschitz_stable_and_positive():
