@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: psf (dump the kernel), simulate (forward imaging chain),
-optimize (full ADMM run), evaluate (EPE metrics for a given mask),
-derive (print oracle reference values), sweep (product grid of penalty
-lists, plus kernel-noise cells, one history CSV per cell).
+optimize (full ADMM run), evaluate (EPE metrics for a given mask), sweep
+(product grid of penalty lists, plus kernel-noise cells, one history CSV
+per cell).
 
 Each subcommand declares only the options it reads. Setting precedence:
 command-line flags > config file > built-in defaults; the settings are
@@ -22,14 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles, targets
+from . import targets
 from .grids import l2_norm
 from .metrics import EvaluationReport, epe_map, evaluate
 from .optics import OpticsConfig, PsfKernel, aerial_image, build_psf, convolve, image_threshold
 from .pgmio import (PatternFormatError, load_config, load_mask, load_pattern,
                     save_grid, write_history)
-from .solver import (SolverConfig, admm_optimize, check_rho_condition,
-                     estimate_lipschitz, lagrangian_trace_check)
+from .solver import SolverConfig, admm_optimize, lagrangian_trace_check
 
 # Every run setting as (flag, type); a config-file value is typed by its
 # flag's type, and a key outside these tables is a usage error.
@@ -191,29 +190,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
-    print("# oracle reference values")
-    for target in (1.0, 0.0):
-        res = oracles.v_oracle(0.2, target, rho=1.0, tr=0.3)
-        print(f"v_oracle(W=0.2, I={int(target)}, rho=1, tr=0.3): "
-              f"argmin={res.argmin.real:.6f}, min={res.min_value:.6f}")
-    res = oracles.v_oracle(5.0, 0.0, rho=10.0, tr=0.3)
-    print(f"v_oracle(W=5, I=0, rho=10, tr=0.3): argmin={res.argmin.real:.6f}")
-    lo, hi = 3.8, 3.9
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if oracles.bessel_j1(lo) * oracles.bessel_j1(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    print(f"first positive zero of J1: {0.5 * (lo + hi):.6f}")
-    lh = estimate_lipschitz(20.0, 0.3, samples=200_000)
-    print(f"estimate_lipschitz(a=20, tr=0.3) ~= {lh:.4f}")
-    print(f"check_rho_condition(rho=10, L_h={lh:.4f}): "
-          f"{check_rho_condition(10.0, lh)}")
-    return 0
-
-
 def _parse_list(flag: str, text: str) -> list[float]:
     """A comma-separated list of numbers; a malformed or empty list, or one
     that repeats a value, is a usage error that names its flag."""
@@ -238,6 +214,10 @@ def cmd_sweep(args) -> int:
         if text is not None}
     levels = ([] if args.kernel_noise is None
               else _parse_list("kernel-noise", args.kernel_noise))
+    for level in levels:
+        if not (np.isfinite(level) and level >= 0):
+            raise _UsageError(f"--kernel-noise: level {level:g} is not a "
+                              "finite non-negative number")
     if not axes and not levels:
         raise _UsageError("sweep needs at least one of --rho/--gamma/"
                           "--beta1/--beta2/--kernel-noise lists")
@@ -316,9 +296,6 @@ def build_parser() -> _Parser:
     settings(p, _OPTICS_FLAGS)
     # evaluate only prints unless an output directory is asked for
     p.set_defaults(func=cmd_evaluate, output_dir=None)
-
-    p = sub.add_parser("derive", help="print brute-force oracle reference values")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("sweep", help="penalty product grid / kernel-noise sweep")
     p.add_argument("--target", required=True)

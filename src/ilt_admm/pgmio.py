@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,12 +34,9 @@ def _require_square(rows: list[list[float]], path) -> np.ndarray:
     return a
 
 
-def _read_pgm(path: Path) -> np.ndarray:
-    """Read a P2 (ASCII) or P5 (binary) PGM into a float array of raw
-    pixel values scaled by maxval into [0, 1]."""
-    data = path.read_bytes()
-    if data[:2] not in (b"P2", b"P5"):
-        raise PatternFormatError(f"{path}: not a P2/P5 PGM file")
+def _parse_pgm(data: bytes, path: Path) -> np.ndarray:
+    """Parse the bytes of a P2 (ASCII) or P5 (binary) PGM into a float
+    array of raw pixel values scaled by maxval into [0, 1]."""
     magic = data[:2]
     # tokenize the header, skipping '#' comments
     tokens: list[bytes] = []
@@ -88,6 +86,43 @@ def _read_pgm(path: Path) -> np.ndarray:
     return grid
 
 
+def _binary_token(tok: str) -> float:
+    """A target pixel: a token whose float value is exactly 0 or 1."""
+    try:
+        value = float(tok)
+    except ValueError:
+        value = None
+    if value not in (0.0, 1.0):
+        raise ValueError(f"expected 0 or 1, got {tok!r}")
+    return value
+
+
+def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
+    """Read a square grid from a PGM file or a whitespace-separated text
+    grid ('#' starts a comment), each text token parsed by `token`.
+    Returns the grid and whether it came from a PGM."""
+    path = Path(path)
+    if not path.exists():
+        raise PatternFormatError(f"{path}: no such file")
+    data = path.read_bytes()
+    if data[:2] in (b"P2", b"P5"):
+        return _parse_pgm(data, path), True
+    rows = []
+    for lineno, line in enumerate(data.decode().splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        row = []
+        for col, tok in enumerate(body.split(), start=1):
+            try:
+                row.append(token(tok))
+            except ValueError as exc:
+                raise PatternFormatError(
+                    f"{path}: line {lineno}, token {col}: {exc}") from None
+        rows.append(row)
+    return _require_square(rows, path), False
+
+
 def load_pattern(path) -> np.ndarray:
     """Load a binary target pattern from a 0/1 text grid or a PGM file.
 
@@ -95,52 +130,14 @@ def load_pattern(path) -> np.ndarray:
     the "0.0"/"1.0" grids that save_grid writes in text mode read back.
     PGM pixels at or above half of maxval map to 1, the rest to 0.
     """
-    path = Path(path)
-    if not path.exists():
-        raise PatternFormatError(f"{path}: no such file")
-    head = path.read_bytes()[:2]
-    if head in (b"P2", b"P5"):
-        return (_read_pgm(path) >= 0.5).astype(float)
-    rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        row = []
-        for col, tok in enumerate(body.split(), start=1):
-            try:
-                value = float(tok)
-            except ValueError:
-                value = None
-            if value not in (0.0, 1.0):
-                raise PatternFormatError(
-                    f"{path}: line {lineno}, token {col}: "
-                    f"expected 0 or 1, got {tok!r}")
-            row.append(value)
-        rows.append(row)
-    return _require_square(rows, path)
+    grid, pgm = _read_grid(path, _binary_token)
+    return (grid >= 0.5).astype(float) if pgm else grid
 
 
 def load_mask(path) -> np.ndarray:
     """Load a continuous mask: PGM values rescale by maxval, text grids
     are parsed as raw floats."""
-    path = Path(path)
-    if not path.exists():
-        raise PatternFormatError(f"{path}: no such file")
-    head = path.read_bytes()[:2]
-    if head in (b"P2", b"P5"):
-        return _read_pgm(path)
-    rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        try:
-            rows.append([float(t) for t in body.split()])
-        except ValueError as exc:
-            raise PatternFormatError(
-                f"{path}: line {lineno}: {exc}") from exc
-    return _require_square(rows, path)
+    return _read_grid(path, float)[0]
 
 
 def save_grid(grid: np.ndarray, path, mode: str = "binary",
@@ -195,25 +192,11 @@ def write_history(records: list[ConvergenceRecord], path) -> None:
                              int(r.step_accepted)])
 
 
-def read_history(path) -> list[dict]:
-    """Parse a history CSV back into dicts (used by the tests)."""
-    with Path(path).open() as fh:
-        reader = csv.DictReader(fh)
-        return [
-            {
-                "iter": int(row["iter"]),
-                "lagrangian": float(row["lagrangian"]),
-                "epe_error": float(row["epe_error"]),
-                "primal_residual": float(row["primal_residual"]),
-                "step_accepted": bool(int(row["step_accepted"])),
-            }
-            for row in reader
-        ]
-
-
 def load_config(path) -> dict[str, str]:
-    """Flat key=value config file; '#' starts a comment, blank lines skipped."""
+    """Flat key=value config file; '#' starts a comment, blank lines skipped.
+    A key set twice is malformed."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     path = Path(path)
     if not path.exists():
         raise PatternFormatError(f"{path}: no such config file")
@@ -224,6 +207,10 @@ def load_config(path) -> dict[str, str]:
         if "=" not in body:
             raise PatternFormatError(
                 f"{path}: line {lineno}: expected key=value, got {body!r}")
-        key, value = body.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key in lines:
+            raise PatternFormatError(f"{path}: line {lineno}: key {key!r} "
+                                     f"already set on line {lines[key]}")
+        lines[key] = lineno
+        out[key] = value
     return out

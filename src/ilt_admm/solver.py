@@ -370,7 +370,6 @@ class TraceReport:
     """Summary of the convergence monitors over a completed run."""
 
     nonincreasing_fraction: float
-    v_changes: list[float]
     first_quarter_mean: float
     last_quarter_mean: float
 
@@ -391,7 +390,6 @@ def lagrangian_trace_check(records: list[ConvergenceRecord]) -> TraceReport:
     q = max(1, len(v_changes) // 4)
     return TraceReport(
         nonincreasing_fraction=frac,
-        v_changes=v_changes,
         first_quarter_mean=float(np.mean(v_changes[:q])),
         last_quarter_mean=float(np.mean(v_changes[-q:])),
     )

@@ -1,7 +1,7 @@
-"""Independent brute-force oracles for the test suite and the `derive`
-subcommand. Deliberately slow and simple: double-loop convolution, dense
-1-D search for the V-update, central-difference gradients, and a power
-series Bessel J1. Nothing here imports solver internals.
+"""Independent brute-force oracles for the test suite. Deliberately slow
+and simple: double-loop convolution, dense 1-D search for the V-update,
+central-difference gradients, and a power series Bessel J1. Nothing here
+imports the package they check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 class OracleResult:
     argmin: complex
     min_value: float
-    evaluations: int
 
 
 def convolve_naive(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -63,15 +62,14 @@ def v_oracle(w: complex, target: float, rho: float, tr: float,
     if full_2d:
         lim = abs(w) + 2.0 * root
         xs = np.linspace(-lim, lim, 200)
-        best, best_v, count = np.inf, 0j, 0
+        best, best_v = np.inf, 0j
         for x in xs:
             for y in xs:
                 v = complex(x, y)
                 c = _v_cost(v, w, target, rho, tr)
-                count += 1
                 if c < best:
                     best, best_v = c, v
-        return OracleResult(argmin=best_v, min_value=best, evaluations=count)
+        return OracleResult(argmin=best_v, min_value=best)
 
     mags = np.linspace(0.0, abs(w) + 2.0 * root, points)
     candidates = np.concatenate([mags, [abs(w), root, root - 1e-9]])
@@ -82,8 +80,7 @@ def v_oracle(w: complex, target: float, rho: float, tr: float,
         c = _v_cost(m * phase, w, target, rho, tr)
         if c < best:
             best, best_m = c, m
-    return OracleResult(argmin=best_m * phase, min_value=best,
-                        evaluations=len(candidates))
+    return OracleResult(argmin=best_m * phase, min_value=best)
 
 
 def v_oracle_min_batch(w: np.ndarray, target: np.ndarray, rho: np.ndarray,

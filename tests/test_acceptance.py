@@ -14,7 +14,7 @@ from ilt_admm.cli import run_cli
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
                              convolve, image_threshold)
-from ilt_admm.oracles import (bessel_j1, convolve_naive, fd_gradient,
+from oracles import (bessel_j1, convolve_naive, fd_gradient,
                               v_oracle, v_oracle_min_batch)
 from ilt_admm.regularization import phi
 from ilt_admm.solver import (SolverConfig, admm_optimize,

@@ -1,3 +1,4 @@
+import csv
 import shlex
 from pathlib import Path
 
@@ -7,12 +8,21 @@ import pytest
 from ilt_admm import optics
 from ilt_admm.cli import _UsageError, build_parser, run_cli
 from ilt_admm.pgmio import (PatternFormatError, load_config, load_mask,
-                            load_pattern, read_history, save_grid,
-                            write_history)
+                            load_pattern, save_grid, write_history)
 from ilt_admm.solver import ConvergenceRecord
 from ilt_admm.targets import ten_rectangles
 
 RNG = np.random.default_rng(41)
+
+
+def read_history(path) -> list[dict]:
+    """The rows of a history CSV as strings, checking its five columns."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["iter", "lagrangian", "epe_error",
+                                 "primal_residual", "step_accepted"]
+    return rows
 
 
 # ---------------------------------------------------------------- file formats
@@ -106,9 +116,9 @@ def test_history_roundtrip(tmp_path):
                ConvergenceRecord(2, 9.0, 2.0, 0.0625, False)]
     write_history(records, p)
     rows = read_history(p)
-    assert rows[0]["iter"] == 1
-    assert rows[0]["lagrangian"] == 10.5
-    assert rows[1]["step_accepted"] is False
+    assert rows[0]["iter"] == "1"
+    assert float(rows[0]["lagrangian"]) == 10.5
+    assert rows[1]["step_accepted"] == "0"
     header = p.read_text().splitlines()[0]
     assert header == "iter,lagrangian,epe_error,primal_residual,step_accepted"
 
@@ -121,6 +131,14 @@ def test_load_config(tmp_path):
     p.write_text("no equals sign\n")
     with pytest.raises(PatternFormatError, match="key=value"):
         load_config(p)
+    # a repeated key is malformed, not silently the last value
+    p.write_text("rho = 5\ngamma=30\n\nrho=50\n")
+    with pytest.raises(PatternFormatError,
+                       match="line 4: key 'rho' already set on line 1"):
+        load_config(p)
+    assert run_cli(["psf", "--config", str(p),
+                    "--output-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------------------- cli
@@ -136,12 +154,13 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli(["sweep", "--target", "x"]) == 1  # no sweep lists
     # options a subcommand does not read are not declared on it
     target = str(small_target(tmp_path))
-    for argv in (["derive", "--kernel-size", "20"],
+    for argv in (["evaluate", "--mask", target, "--target", target, "--rho", "5"],
                  ["psf", "--seed", "1"],
                  ["simulate", "--mask", target, "--seed", "1"],
                  ["evaluate", "--mask", target, "--target", target, "--seed", "1"]):
         assert run_cli(argv + ["--output-dir", str(tmp_path / "o")]) == 1, argv
     assert not (tmp_path / "o").exists()
+    assert run_cli(["derive"]) == 1  # no such subcommand
 
 
 def test_cli_missing_file_exit_code(tmp_path):
@@ -322,19 +341,18 @@ def test_cli_sweep_malformed_list_is_usage_error(tmp_path, capsys):
     # "0,5" parses, but its rho=0 cell is out of range: every cell is
     # checked before the baseline is imaged or the directory made; a
     # repeated value, also one repeated only in its :g form, would write
-    # the same history file twice
-    for bad, named in ((",", "--rho"), ("a,b", "--rho"), ("0,5", "rho"),
-                       ("5,5", "--rho"), ("5,5.0000001", "--rho")):
-        assert run_cli(["sweep", "--target", "ten_rectangles", "--rho", bad,
+    # the same history file twice; a noise level must be finite and >= 0
+    for flag, bad, named in (
+            ("--rho", ",", "--rho"), ("--rho", "a,b", "--rho"),
+            ("--rho", "0,5", "rho"), ("--rho", "5,5", "--rho"),
+            ("--rho", "5,5.0000001", "--rho"),
+            ("--kernel-noise", "nan", "--kernel-noise"),
+            ("--kernel-noise", "inf", "--kernel-noise"),
+            ("--kernel-noise", "-1e-3", "--kernel-noise")):
+        assert run_cli(["sweep", "--target", "ten_rectangles", f"{flag}={bad}",
                         "--output-dir", str(tmp_path / "sw")]) == 1
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""
     assert not (tmp_path / "sw").exists()
 
-
-def test_cli_derive(capsys):
-    assert run_cli(["derive"]) == 0
-    out = capsys.readouterr().out
-    assert "first positive zero of J1: 3.831706" in out
-    assert "check_rho_condition" in out

@@ -5,7 +5,7 @@ from ilt_admm.grids import GridError
 from ilt_admm.optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
                              build_pupil, convolve, convolve_adjoint,
                              cutoff_frequency, image_sigmoid, image_threshold)
-from ilt_admm.oracles import bessel_j1, convolve_naive
+from oracles import bessel_j1, convolve_naive
 
 RNG = np.random.default_rng(7)
 

@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ilt_admm.oracles import (bessel_j1, convolve_naive, fd_gradient,
-                              v_oracle, v_oracle_min_batch)
+from oracles import (bessel_j1, convolve_naive, fd_gradient, v_oracle,
+                     v_oracle_min_batch)
 
 RNG = np.random.default_rng(23)
 
@@ -86,3 +89,16 @@ def test_bessel_j1_known_values():
 def test_bessel_j1_rejects_large_argument():
     with pytest.raises(ValueError):
         bessel_j1(80.0)
+
+
+def test_oracles_import_nothing_they_check():
+    # the references stay independent of the package they check
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            modules.add(node.module)
+    assert modules <= {"__future__", "dataclasses", "typing", "numpy"}, modules

@@ -4,7 +4,7 @@ import pytest
 from ilt_admm.grids import inner
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
-from ilt_admm.oracles import fd_gradient, v_oracle
+from oracles import fd_gradient, v_oracle
 from ilt_admm.regularization import binarity_penalty, phi, tv_norm
 from ilt_admm.solver import (ConvergenceRecord, SolverConfig, _bregman_objective,
                              admm_optimize,
