@@ -4,6 +4,7 @@ grids out, CSV convergence history, and flat key=value config files."""
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Callable
 
@@ -61,8 +62,10 @@ def _parse_pgm(data: bytes, path: Path) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise PatternFormatError(f"{path}: bad PGM header: {exc}") from exc
-    if maxval <= 0 or width <= 0 or height <= 0:
+    if width <= 0 or height <= 0:
         raise PatternFormatError(f"{path}: invalid PGM dimensions")
+    if not 1 <= maxval <= 65535:
+        raise PatternFormatError(f"{path}: PGM maxval {maxval} outside 1..65535")
     if magic == b"P5":
         pos += 1  # single whitespace after maxval
         nbytes = width * height * (2 if maxval > 255 else 1)
@@ -80,6 +83,12 @@ def _parse_pgm(data: bytes, path: Path) -> np.ndarray:
         if pixels.size != width * height:
             raise PatternFormatError(
                 f"{path}: expected {width * height} pixels, got {pixels.size}")
+    # nan fails both comparisons
+    bad = ~((pixels >= 0) & (pixels <= maxval))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PatternFormatError(f"{path}: pixel {i + 1}: expected 0..{maxval}, "
+                                 f"got {float(pixels[i]):g}")
     grid = pixels.reshape(height, width) / maxval
     if width != height:
         raise PatternFormatError(f"{path}: non-square grid {height}x{width}")
@@ -97,6 +106,22 @@ def _binary_token(tok: str) -> float:
     return value
 
 
+def _finite_token(tok: str) -> float:
+    """A mask pixel: any finite float."""
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {tok!r}")
+    return value
+
+
+def _decode(data: bytes, path: Path) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise PatternFormatError(f"{path}: not UTF-8 text: {exc.reason} "
+                                 f"at byte {exc.start}") from None
+
+
 def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
     """Read a square grid from a PGM file or a whitespace-separated text
     grid ('#' starts a comment), each text token parsed by `token`.
@@ -108,7 +133,7 @@ def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
     if data[:2] in (b"P2", b"P5"):
         return _parse_pgm(data, path), True
     rows = []
-    for lineno, line in enumerate(data.decode().splitlines(), start=1):
+    for lineno, line in enumerate(_decode(data, path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -136,8 +161,8 @@ def load_pattern(path) -> np.ndarray:
 
 def load_mask(path) -> np.ndarray:
     """Load a continuous mask: PGM values rescale by maxval, text grids
-    are parsed as raw floats."""
-    return _read_grid(path, float)[0]
+    are parsed as raw floats, which must be finite."""
+    return _read_grid(path, _finite_token)[0]
 
 
 def save_grid(grid: np.ndarray, path, mode: str = "binary",
@@ -200,7 +225,8 @@ def load_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise PatternFormatError(f"{path}: no such config file")
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    text = _decode(path.read_bytes(), path)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -194,23 +194,25 @@ def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
     return grad
 
 
-def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
-                 kernel: PsfKernel) -> np.ndarray:
+def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
+                 cfg: SolverConfig,
+                 kernel: PsfKernel) -> tuple[np.ndarray, np.ndarray]:
     """Approximately minimize ||HU - W||^2 + beta1||DU||_1 + beta2||U(1-U)||_1
     over the box [0,1] by split Bregman iteration.
 
+    Requires u_init in [0,1] and hu_init = H u_init, its image.
     Each sweep runs projected Armijo gradient descent on the smoothed
     objective F (the box projection is applied to every trial point, and
     the sufficient-decrease test uses the gradient-mapping norm
     ||U - P(U - t g)||^2 / t^2, which reduces to the plain Armijo rule
     ||g||^2 at interior points), then applies shrinkage and the Bregman
-    update. Returns the box-feasible iterate with the lowest original
-    objective seen, so the value never exceeds the one at (projected)
-    u_init.
+    update. Returns (U, HU) for the iterate with the lowest original
+    objective seen, so the value never exceeds the one at u_init; HU is
+    the image already formed for it, not a new convolution.
     """
     n = w.shape[0]
     tol = cfg.bregman_tolerance(n)
-    u = project_box(np.asarray(u_init, dtype=float))
+    u, hu = np.asarray(u_init, dtype=float), hu_init
     d = phi(u, cfg.beta1, cfg.beta2)
     b = np.zeros((3,) + u.shape)
 
@@ -218,8 +220,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
         return (float(np.sum(np.abs(huu - w) ** 2))
                 + cfg.beta1 * tv_norm(uu) + cfg.beta2 * binarity_penalty(uu))
 
-    hu = convolve(kernel, u)
-    best_u, best_val = u, original_objective(u, hu)
+    best_u, best_hu, best_val = u, hu, original_objective(u, hu)
 
     for _ in range(cfg.bregman_max_iters):
         u_sweep_start = u
@@ -228,8 +229,6 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
         f0, resid, gap = _bregman_objective(u, hu, w, d, b, cfg)
         for _ in range(cfg.descent_max_iters):
             g = grad_F(u, w, d, b, cfg, kernel, resid=resid, gap=gap)
-            if not np.any(g):
-                break
             t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
@@ -252,14 +251,14 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, cfg: SolverConfig,
 
         val = original_objective(u, hu)
         if val < best_val:
-            best_u, best_val = u, val
+            best_u, best_hu, best_val = u, hu, val
 
         phi_u = phi(u, cfg.beta1, cfg.beta2)
         d = shrink(phi_u + b, 1.0 / cfg.gamma)
         b = b + phi_u - d
         if l2_norm(u - u_sweep_start) < tol:
             break
-    return best_u
+    return best_u, best_hu
 
 
 def v_subproblem(w: np.ndarray, target: np.ndarray, rho: float,
@@ -327,17 +326,16 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
     a, tr, rho = optics_cfg.sigmoid_steepness, optics_cfg.threshold, cfg.rho
 
     u = target.astype(float)
-    v = convolve(kernel, u)
+    hu = v = convolve(kernel, u)
     p = np.ones_like(v, dtype=complex)
 
     records: list[ConvergenceRecord] = []
     best_u, best_err = u, np.inf
     for it in range(1, cfg.outer_max_iters + 1):
         w_u = v + p / rho
-        u_new = u_subproblem(w_u, u, cfg, kernel)
+        u_new, hu = u_subproblem(w_u, u, hu, cfg, kernel)
         step_accepted = bool(np.any(u_new != u))
         u = u_new
-        hu = convolve(kernel, u)
         w_v = hu - p / rho
         v_new = v_subproblem(w_v, target, rho, tr)
         p = dual_update(p, v_new, hu, rho)

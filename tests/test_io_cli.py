@@ -42,11 +42,25 @@ def test_text_pattern_diagnostics(tmp_path):
         with pytest.raises(PatternFormatError,
                            match=f"line 2, token 2: expected 0 or 1, got '{bad}'"):
             load_pattern(p)
+    # a mask takes any finite value, also outside [0, 1]
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"0.5 0.25\n{bad} 1\n")
+        with pytest.raises(PatternFormatError,
+                           match=f"line 2, token 1: expected a finite number, "
+                                 f"got '{bad}'"):
+            load_mask(p)
+    p.write_text("-0.5 1.5\n0 1\n")
+    assert np.array_equal(load_mask(p), [[-0.5, 1.5], [0.0, 1.0]])
     p.write_text("0 1 0\n1 0 1\n")
     with pytest.raises(PatternFormatError, match="non-square"):
         load_pattern(p)
     with pytest.raises(PatternFormatError, match="no such file"):
         load_pattern(tmp_path / "missing.txt")
+    # a UTF-16 byte-order mark is neither a PGM nor a UTF-8 text grid
+    p.write_bytes(b"\xff\xfe0\x00")
+    for load in (load_pattern, load_mask):
+        with pytest.raises(PatternFormatError, match="bad.txt: not UTF-8 text"):
+            load(p)
 
 
 def test_text_pattern_reads_save_grid_text_output(tmp_path):
@@ -91,6 +105,21 @@ def test_pgm_rejects_malformed(tmp_path):
     p.write_bytes(b"P5\n2 3\n255\n" + bytes(6))
     with pytest.raises(PatternFormatError, match="non-square"):
         load_pattern(p)
+    # P2 pixels outside [0, maxval] or non-finite
+    for bad in (b"-300", b"999", b"nan", b"inf"):
+        p.write_bytes(b"P2\n2 2\n255\n0 255\n" + bad + b" 0\n")
+        for load in (load_pattern, load_mask):
+            with pytest.raises(PatternFormatError,
+                               match="bad.pgm: pixel 3: expected 0..255"):
+                load(p)
+    # a 16-bit sample above its maxval
+    p.write_bytes(b"P5\n1 1\n1000\n\xff\xff")
+    with pytest.raises(PatternFormatError, match="pixel 1: expected 0..1000"):
+        load_mask(p)
+    for maxval in (b"0", b"70000"):
+        p.write_bytes(b"P5\n1 1\n" + maxval + b"\n" + bytes(4))
+        with pytest.raises(PatternFormatError, match="maxval .* outside 1..65535"):
+            load_mask(p)
 
 
 def test_mask_text_full_precision_roundtrip(tmp_path):
@@ -139,6 +168,9 @@ def test_load_config(tmp_path):
     assert run_cli(["psf", "--config", str(p),
                     "--output-dir", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+    p.write_bytes(b"\xff\xferho=5\n")
+    with pytest.raises(PatternFormatError, match="cfg: not UTF-8 text"):
+        load_config(p)
 
 
 # ------------------------------------------------------------------------- cli
@@ -166,6 +198,16 @@ def test_cli_usage_error_exit_code(tmp_path):
 def test_cli_missing_file_exit_code(tmp_path):
     assert run_cli(["evaluate", "--mask", str(tmp_path / "nope"),
                     "--target", "ten_rectangles"]) == 2
+
+
+def test_cli_non_finite_mask_exit_code(tmp_path, capsys):
+    mask = tmp_path / "m.txt"
+    grid = [["0"] * 48 for _ in range(48)]
+    grid[5] = ["nan"] * 48
+    mask.write_text("\n".join(" ".join(row) for row in grid) + "\n")
+    assert run_cli(["evaluate", "--mask", str(mask), "--target",
+                    str(small_target(tmp_path)), "--kernel-size", "20"]) == 2
+    assert str(mask) in capsys.readouterr().err
 
 
 def test_cli_psf(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ilt_admm import solver
 from ilt_admm.grids import inner
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
@@ -170,25 +171,29 @@ def test_u_subproblem_stationary_start():
     cfg = SolverConfig(beta1=0.0, beta2=0.0)
     u_true = (RNG.random((32, 32)) < 0.5).astype(float)
     w = convolve(kernel, u_true)
-    out = u_subproblem(w, u_true, cfg, kernel)
+    out, hu = u_subproblem(w, u_true, w, cfg, kernel)
     assert np.abs(out - u_true).max() < 1e-10
+    assert np.array_equal(hu, convolve(kernel, out))
 
 
 def test_u_subproblem_descends_and_stays_feasible():
-    kernel = small_kernel()
     cfg = SolverConfig()
     target = np.zeros((32, 32))
     target[8:24, 8:24] = 1.0
-    w = convolve(kernel, target) + 0.1
     u0 = target.astype(float)
+    # a real PSF at focus, a complex one at 50 nm defocus
+    for optics_cfg in (SMALL_OPTICS, OpticsConfig(kernel_size=20, defocus_nm=50.0)):
+        kernel = build_psf(optics_cfg)
+        w = convolve(kernel, target) + 0.1
 
-    def objective(u):
-        return (float(np.sum(np.abs(convolve(kernel, u) - w) ** 2))
-                + cfg.beta1 * tv_norm(u) + cfg.beta2 * binarity_penalty(u))
+        def objective(u):
+            return (float(np.sum(np.abs(convolve(kernel, u) - w) ** 2))
+                    + cfg.beta1 * tv_norm(u) + cfg.beta2 * binarity_penalty(u))
 
-    out = u_subproblem(w, u0, cfg, kernel)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    assert objective(out) <= objective(u0) + 1e-12
+        out, hu = u_subproblem(w, u0, convolve(kernel, u0), cfg, kernel)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert objective(out) <= objective(u0) + 1e-12
+        assert np.array_equal(hu, convolve(kernel, out))
 
 
 def test_v_subproblem_validation():
@@ -268,6 +273,25 @@ def test_admm_returns_lowest_epe_outer_iterate():
     best = min(r.epe_error for r in records)
     assert best < records[-1].epe_error
     assert evaluate(u, target, SMALL_OPTICS).error == best
+
+
+def test_admm_images_each_iterate_once(monkeypatch):
+    # with no Bregman sweeps the mask never moves, so the start-up image
+    # HU of U = target is the only convolution the whole run needs
+    calls = []
+    forward = solver.convolve
+
+    def counting(kernel, u):
+        calls.append(u.shape)
+        return forward(kernel, u)
+
+    monkeypatch.setattr(solver, "convolve", counting)
+    target = np.zeros((32, 32))
+    target[8:24, 8:24] = 1.0
+    cfg = SolverConfig(outer_max_iters=3, bregman_max_iters=0)
+    _, records = admm_optimize(target, SMALL_OPTICS, cfg)
+    assert len(records) == 3
+    assert len(calls) == 1
 
 
 def test_admm_is_deterministic():
