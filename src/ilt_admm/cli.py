@@ -44,10 +44,8 @@ _OPTICS_FLAGS = {
 _PENALTY_FLAGS = {name: ("--" + name, float)
                   for name in ("rho", "gamma", "beta1", "beta2")}
 _BUDGET_FLAGS = {
-    "outer_tol": ("--outer-tol", float),
     "outer_max_iters": ("--outer-iters", int),
     "bregman_max_iters": ("--bregman-iters", int),
-    "bregman_tol": ("--bregman-tol", float),
     "descent_max_iters": ("--descent-iters", int),
 }
 _SETTINGS = {**_OPTICS_FLAGS, **_PENALTY_FLAGS, **_BUDGET_FLAGS}

@@ -37,21 +37,18 @@ class SolverConfig:
     gamma: float = 30.0
     beta1: float = 0.01
     beta2: float = 0.015
-    outer_tol: float = 0.0
     outer_max_iters: int = 100
     bregman_max_iters: int = 20
-    bregman_tol: Optional[float] = None  # None -> 1e-4 * n at run time
     # 10 steps per sweep end the 7-iteration production runs lower than
     # 30 (and than 6-9 or 11-15) at a third of the convolutions; the cap
     # also bounds Armijo backtracking
     descent_max_iters: int = 10
 
     def __post_init__(self):
-        # nan passes every comparison below, so finiteness comes first;
-        # bregman_tol=None stays allowed
+        # nan passes every comparison below, so finiteness comes first
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.rho <= 0 or self.gamma <= 0:
             raise ValueError("rho and gamma must be positive")
@@ -62,9 +59,6 @@ class SolverConfig:
         for name in ("bregman_max_iters", "descent_max_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-
-    def bregman_tolerance(self, n: int) -> float:
-        return 1e-4 * n if self.bregman_tol is None else self.bregman_tol
 
 
 @dataclass
@@ -91,12 +85,12 @@ def sigmoid_misfit(v: np.ndarray, target: np.ndarray, a: float, tr: float) -> fl
 
 def grad_h(v: np.ndarray, target: np.ndarray, a: float, tr: float) -> np.ndarray:
     """Gradient of h_a with respect to the real/imag parts of V, written as
-    a complex grid: 4a V (Sig - I)(1 - Sig) Sig with Sig = Sig_a(|V|^2).
+    a grid of V's dtype: 4a V (Sig - I)(1 - Sig) Sig with Sig = Sig_a(|V|^2).
 
     (The factor is 4a, not 2a: per entry, d/dv (Sig_a(v^2) - I)^2 =
     2(Sig - I) * a Sig (1 - Sig) * 2v; verified against finite differences.)
     """
-    v = np.asarray(v, dtype=complex)
+    v = np.asarray(v)
     s = image_sigmoid(np.abs(v) ** 2, a, tr)
     return 4.0 * a * v * (s - np.asarray(target)) * (1.0 - s) * s
 
@@ -116,9 +110,7 @@ def estimate_lipschitz(a: float, tr: float, samples: int = 1_000_000) -> float:
     def second_derivative_max(v: np.ndarray) -> tuple[float, float]:
         best, best_v = 0.0, 0.0
         for target in (0.0, 1.0):
-            s = 1.0 / (1.0 + np.exp(-a * (v * v - tr)))
-            g = 4.0 * a * v * (s - target) * (1.0 - s) * s
-            d2 = np.abs(np.gradient(g, v))
+            d2 = np.abs(np.gradient(grad_h(v, target, a, tr), v))
             i = int(np.argmax(d2))
             if d2[i] > best:
                 best, best_v = float(d2[i]), float(v[i])
@@ -200,18 +192,17 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     """Approximately minimize ||HU - W||^2 + beta1||DU||_1 + beta2||U(1-U)||_1
     over the box [0,1] by split Bregman iteration.
 
-    Requires u_init in [0,1] and hu_init = H u_init, its image.
-    Each sweep runs projected Armijo gradient descent on the smoothed
-    objective F (the box projection is applied to every trial point, and
-    the sufficient-decrease test uses the gradient-mapping norm
-    ||U - P(U - t g)||^2 / t^2, which reduces to the plain Armijo rule
-    ||g||^2 at interior points), then applies shrinkage and the Bregman
-    update. Returns (U, HU) for the iterate with the lowest original
-    objective seen, so the value never exceeds the one at u_init; HU is
-    the image already formed for it, not a new convolution.
+    Requires u_init in [0,1] and hu_init = H u_init, its image; W has the
+    image's dtype (real for a real PSF).
+    Runs exactly bregman_max_iters sweeps. Each sweep runs projected Armijo
+    gradient descent on the smoothed objective F (the box projection is
+    applied to every trial point, and the sufficient-decrease test uses the
+    gradient-mapping norm ||U - P(U - t g)||^2 / t^2, which reduces to the
+    plain Armijo rule ||g||^2 at interior points), then applies shrinkage
+    and the Bregman update. Returns (U, HU) for the iterate with the lowest
+    original objective seen, so the value never exceeds the one at u_init;
+    HU is the image already formed for it, not a new convolution.
     """
-    n = w.shape[0]
-    tol = cfg.bregman_tolerance(n)
     u, hu = np.asarray(u_init, dtype=float), hu_init
     d = phi(u, cfg.beta1, cfg.beta2)
     b = np.zeros((3,) + u.shape)
@@ -223,7 +214,6 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     best_u, best_hu, best_val = u, hu, original_objective(u, hu)
 
     for _ in range(cfg.bregman_max_iters):
-        u_sweep_start = u
         # F, the residual HU - W and the split gap at the current U; an
         # accepted trial carries its own into the next descent step
         f0, resid, gap = _bregman_objective(u, hu, w, d, b, cfg)
@@ -256,8 +246,6 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
         phi_u = phi(u, cfg.beta1, cfg.beta2)
         d = shrink(phi_u + b, 1.0 / cfg.gamma)
         b = b + phi_u - d
-        if l2_norm(u - u_sweep_start) < tol:
-            break
     return best_u, best_hu
 
 
@@ -277,7 +265,7 @@ def v_subproblem(w: np.ndarray, target: np.ndarray, rho: float,
         raise ValueError("rho must be positive")
     if not 0.0 < tr < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w)
     target = np.asarray(target, dtype=float)
     root = np.sqrt(tr)
     absw = np.abs(w)
@@ -286,7 +274,7 @@ def v_subproblem(w: np.ndarray, target: np.ndarray, rho: float,
     move_cost = 0.5 * rho * (absw - root) ** 2
     keep = match | (move_cost > 1.0)
 
-    phase = np.where(absw > 0, w / np.where(absw > 0, absw, 1.0), 1.0 + 0.0j)
+    phase = np.where(absw > 0, w / np.where(absw > 0, absw, 1.0), 1.0)
     boundary_mag = np.where(target == 1.0, root * (1.0 + 1e-9),
                             root * (1.0 - 1e-9))
     return np.where(keep, w, boundary_mag * phase)
@@ -311,12 +299,14 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
                   ) -> tuple[np.ndarray, list[ConvergenceRecord]]:
     """Run the full ADMM loop and return (optimized mask, records).
 
-    Initialization: U = target, V = H*U, P = all ones. Each outer iteration
-    forms W = V + P/rho, solves the U-subproblem, applies the closed-form
-    V-update at W = HU - P/rho, and ascends the dual. Stops when the EPE
-    error of the printed image reaches outer_tol, or at outer_max_iters.
-    The mask returned is the first outer iterate with the lowest EPE, so
-    running longer never hands back a worse mask.
+    Initialization: U = target, V = H*U, P = all ones. V, P and both W take
+    the dtype of the image HU: real for a real (in-focus) PSF, complex for
+    a complex one. Each outer iteration forms W = V + P/rho, solves the
+    U-subproblem, applies the closed-form V-update at W = HU - P/rho, and
+    ascends the dual. Runs outer_max_iters iterations, and stops early
+    only when the printed image matches the target (EPE 0), which no later
+    iterate can beat. The mask returned is the first outer iterate with the
+    lowest EPE, so running longer never hands back a worse mask.
     The resist steepness and threshold always come from optics_cfg; a given
     kernel supplies only its samples.
     """
@@ -327,7 +317,7 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
 
     u = target.astype(float)
     hu = v = convolve(kernel, u)
-    p = np.ones_like(v, dtype=complex)
+    p = np.ones_like(hu)
 
     records: list[ConvergenceRecord] = []
     best_u, best_err = u, np.inf
@@ -358,7 +348,7 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
         records.append(rec)
         if progress is not None:
             progress(rec)
-        if err <= cfg.outer_tol:
+        if err == 0.0:
             break
     return best_u, records
 

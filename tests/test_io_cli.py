@@ -189,7 +189,13 @@ def test_cli_usage_error_exit_code(tmp_path):
     for argv in (["evaluate", "--mask", target, "--target", target, "--rho", "5"],
                  ["psf", "--seed", "1"],
                  ["simulate", "--mask", target, "--seed", "1"],
-                 ["evaluate", "--mask", target, "--target", target, "--seed", "1"]):
+                 ["evaluate", "--mask", target, "--target", target, "--seed", "1"],
+                 # the Bregman and outer stop tolerances are not settings
+                 ["optimize", "--target", target, "--outer-tol", "0"],
+                 ["optimize", "--target", target, "--bregman-tol", "1e-3"],
+                 ["sweep", "--target", target, "--rho", "5", "--outer-tol", "0"],
+                 ["sweep", "--target", target, "--rho", "5",
+                  "--bregman-tol", "1e-3"]):
         assert run_cli(argv + ["--output-dir", str(tmp_path / "o")]) == 1, argv
     assert not (tmp_path / "o").exists()
     assert run_cli(["derive"]) == 1  # no such subcommand
@@ -258,8 +264,9 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     target = small_target(tmp_path)
     cfg = tmp_path / "cfg"
-    # a typo, and a solver constant that is not a setting
-    for key in ("rh0=50", "armijo_alpha=0.2"):
+    # a typo, a solver constant that is not a setting, and the Bregman and
+    # outer stop tolerances, which are not settings either
+    for key in ("rh0=50", "armijo_alpha=0.2", "outer_tol=0", "bregman_tol=1e-3"):
         cfg.write_text(f"kernel_size=30\n{key}\n")
         assert run_cli(["optimize", "--target", str(target), "--config", str(cfg),
                         "--outer-iters", "1", "--quiet",
@@ -302,8 +309,7 @@ def test_cli_out_of_range_setting_is_usage_error(tmp_path, capsys):
                   ("--beta1", "nan", "beta1"), ("--beta2", "inf", "beta2"),
                   ("--gamma", "inf", "gamma"),
                   ("--steepness", "inf", "sigmoid_steepness"),
-                  ("--bregman-tol", "nan", "bregman_tol"),
-                  ("--outer-tol", "nan", "outer_tol"), ("--rho", "nan", "rho"),
+                  ("--rho", "nan", "rho"),
                   ("--pixel-size", "nan", "pixel_size_nm"),
                   ("--wavelength", "inf", "wavelength_nm"),
                   ("--defocus", "nan", "defocus_nm"))),
@@ -334,8 +340,7 @@ def test_cli_sweep(tmp_path):
     target = small_target(tmp_path)
     out = tmp_path / "sw"
     assert run_cli(["sweep", "--target", str(target), "--kernel-size", "30",
-                    "--outer-iters", "1", "--outer-tol", "0",
-                    "--bregman-iters", "2", "--bregman-tol", "1e-3",
+                    "--outer-iters", "1", "--bregman-iters", "2",
                     "--descent-iters", "3", "--rho", "5,10",
                     "--kernel-noise", "1e-3",
                     "--output-dir", str(out)]) == 0

@@ -36,17 +36,10 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="descent_max_iters"):
         SolverConfig(descent_max_iters=-1)
     # nan passes a "<= 0" test, so every float setting is checked finite
-    for name in ("rho", "gamma", "beta1", "beta2", "outer_tol", "bregman_tol"):
+    for name in ("rho", "gamma", "beta1", "beta2"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
-    assert SolverConfig(bregman_tol=None).bregman_tol is None
-
-
-def test_bregman_tolerance_default_scales_with_size():
-    cfg = SolverConfig()
-    assert cfg.bregman_tolerance(144) == pytest.approx(144e-4)
-    assert SolverConfig(bregman_tol=0.5).bregman_tolerance(144) == 0.5
 
 
 def test_sigmoid_misfit_perfect_image():
@@ -217,13 +210,17 @@ def test_v_subproblem_never_worse_than_keeping_w():
 
 
 def test_v_subproblem_matches_oracle_costs():
-    w = 0.8 * (RNG.normal(size=30) + 1j * RNG.normal(size=30))
-    target = (RNG.random(30) < 0.5).astype(float)
-    v = v_subproblem(w.reshape(5, 6), target.reshape(5, 6), 10.0, 0.3).ravel()
-    for i in range(30):
-        got = v_cost(v[i], w[i], target[i], 10.0, 0.3)
-        want = v_oracle(w[i], target[i], 10.0, 0.3, points=50_000).min_value
-        assert got <= want + 1e-8
+    # a complex W (defocused PSF) and a real one (in-focus PSF), whose V
+    # stays real
+    for w in (0.8 * (RNG.normal(size=30) + 1j * RNG.normal(size=30)),
+              0.8 * RNG.normal(size=30)):
+        target = (RNG.random(30) < 0.5).astype(float)
+        v = v_subproblem(w.reshape(5, 6), target.reshape(5, 6), 10.0, 0.3).ravel()
+        assert v.dtype == w.dtype
+        for i in range(30):
+            got = v_cost(v[i], w[i], target[i], 10.0, 0.3)
+            want = v_oracle(w[i], target[i], 10.0, 0.3, points=50_000).min_value
+            assert got <= want + 1e-8
 
 
 def test_v_subproblem_is_elementwise():
@@ -292,6 +289,32 @@ def test_admm_images_each_iterate_once(monkeypatch):
     _, records = admm_optimize(target, SMALL_OPTICS, cfg)
     assert len(records) == 3
     assert len(calls) == 1
+
+
+def test_admm_state_takes_the_image_dtype(monkeypatch):
+    # W, V and P are real for a real (in-focus) PSF, complex for a defocused one
+    seen = []
+    u_step, dual_step = solver.u_subproblem, solver.dual_update
+
+    def recording_u_step(w, *args):
+        seen.append(w.dtype)
+        return u_step(w, *args)
+
+    def recording_dual_step(p, v, hu, rho):
+        p_new = dual_step(p, v, hu, rho)
+        seen.extend((p.dtype, v.dtype, p_new.dtype))
+        return p_new
+
+    monkeypatch.setattr(solver, "u_subproblem", recording_u_step)
+    monkeypatch.setattr(solver, "dual_update", recording_dual_step)
+    target = np.zeros((32, 32))
+    target[8:24, 8:24] = 1.0
+    cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2)
+    for defocus, dtype in ((0.0, np.float64), (50.0, np.complex128)):
+        seen.clear()
+        admm_optimize(target, OpticsConfig(kernel_size=20, defocus_nm=defocus), cfg)
+        assert len(seen) == 8
+        assert set(seen) == {np.dtype(dtype)}, defocus
 
 
 def test_admm_is_deterministic():
