@@ -7,6 +7,8 @@ solver needs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -46,16 +48,23 @@ def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise GridError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def project_box(u: np.ndarray) -> np.ndarray:
-    """Clamp every entry to [0, 1]."""
-    return np.clip(u, 0.0, 1.0)
+def project_box(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp every entry to [0, 1], into out when given."""
+    return np.clip(u, 0.0, 1.0, out=out)
 
 
 def l2_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x.ravel()))
+    return math.sqrt(inner(x, x))
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of the Hermitian inner product <a, b>."""
+    """Real part of the Hermitian inner product <a, b>.
+
+    Summed pairwise by numpy, not by a BLAS dot: after a threaded BLAS call
+    OpenBLAS's idle workers spin on the cores the FFTs that follow need.
+    """
     check_same_shape(a, b)
-    return float(np.real(np.vdot(a, b)))
+    total = np.sum(a.real * b.real)
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
+        total += np.sum(a.imag * b.imag)
+    return float(total)

@@ -144,10 +144,18 @@ class _ConvOperator:
 
     Both directions work on the smallest fast FFT lattice on which cyclic
     convolution equals linear convolution over the central n x n window:
-    5-smooth for a real kernel, which convolves by rfft2/irfft2 and returns
-    a real image, 11-smooth for any other kernel, which takes fft2/ifft2.
-    The adjoint uses the same transform pair; on its first call it builds
-    its conjugate spectrum and the zeroed lattice it embeds its input in.
+    5-smooth for a real kernel, which convolves by real-input transforms and
+    returns a real image, 11-smooth for any other kernel, which takes
+    complex transforms. Each 2-D transform runs as two 1-D passes that skip
+    rows whose result is known or discarded: the first pass covers only the
+    n rows (or, in the complex adjoint, columns) that hold input, and the
+    last inverse pass only the n rows the crop keeps. The passes keep
+    pocketfft's order and scaling point (rfft2 takes the last axis first;
+    irfft2, fft2 and ifft2 take axis 0 first; irfft2 applies 1/L^2 in its
+    last pass, ifft2 in its first), so the results are those of the whole
+    2-D transforms bit for bit. A complex kernel's forward keeps fft2 whole:
+    it fills the Hermitian half of a real mask's spectrum its own way. The
+    adjoint builds its conjugate spectrum and input buffers on first call.
     """
 
     def __init__(self, kernel: np.ndarray, n: int):
@@ -163,39 +171,60 @@ class _ConvOperator:
         # any factor 7 through their slow generic radix.
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
+        self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
         if self.real:
-            self.fft, self.ifft = sfft.rfft2, sfft.irfft2
             self.kernel_hat = sfft.rfft2(kernel.real, self.shape)
         else:
-            self.fft, self.ifft = sfft.fft2, sfft.ifft2
             self.kernel_hat = sfft.fft2(kernel, self.shape)
         self._adjoint_hat = None
-        self._lattice = None  # the adjoint's input lattice, zero off the window
+        self._window = None  # the adjoint's input rows (real) or columns
+        self._lattice = None  # their first pass, zero off the window
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
-        u_hat = self.fft(u, self.shape)
+        size = self.shape[0]
+        if self.real:
+            rows = sfft.rfft(u, size, axis=1)  # the n rows that hold input
+            u_hat = sfft.fft(rows, size, axis=0, overwrite_x=True)
+        else:
+            u_hat = sfft.fft2(u, self.shape)
         u_hat *= self.kernel_hat
-        full = self.ifft(u_hat, self.shape, overwrite_x=True)
-        s, n = self.crop, self.n
-        return full[s:s + n, s:s + n]
+        return self._inverse(u_hat, self.crop)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """Re{H^* x}, the exact adjoint of forward on real grids: embed at
         the crop offset, multiply by the conjugate spectrum, crop at the
         origin. A real kernel correlates Re x only, since
         Re{H^* x} = H^T Re x."""
+        s, n, size = self.crop, self.n, self.shape[0]
         if self._adjoint_hat is None:
             self._adjoint_hat = np.conj(self.kernel_hat)
-            self._lattice = np.zeros(self.shape,
-                                     dtype=float if self.real else complex)
-        s, n = self.crop, self.n
-        y = self._lattice
-        y[s:s + n, s:s + n] = x.real if self.real else x
-        y_hat = self.fft(y, self.shape)  # keeps y, and its zero border, intact
+            self._lattice = np.zeros(self.kernel_hat.shape, dtype=complex)
+            self._window = np.zeros((n, size) if self.real else (size, n),
+                                    dtype=float if self.real else complex)
+        if self.real:
+            self._window[:, s:s + n] = x.real
+            self._lattice[s:s + n] = sfft.rfft(self._window, axis=1)
+            y_hat = sfft.fft(self._lattice, axis=0)
+        else:
+            self._window[s:s + n] = x
+            self._lattice[:, s:s + n] = sfft.fft(self._window, axis=0)
+            y_hat = sfft.fft(self._lattice, axis=1)
         y_hat *= self._adjoint_hat
-        full = self.ifft(y_hat, self.shape, overwrite_x=True)
-        return full[:n, :n].real
+        return self._inverse(y_hat, 0).real
+
+    def _inverse(self, y_hat: np.ndarray, start: int) -> np.ndarray:
+        """Rows and columns start:start + n of the inverse transform of the
+        spectrum y_hat, which it overwrites."""
+        n, size = self.n, self.shape[0]
+        keep = slice(start, start + n)
+        rows = sfft.ifft(y_hat, axis=0, norm="forward", overwrite_x=True)[keep]
+        if self.real:  # irfft2 scales in its last pass
+            out = sfft.irfft(rows, size, axis=1, norm="forward")[:, keep]
+            out *= self.scale
+            return out
+        rows *= self.scale  # ifft2 scales in its first pass
+        return sfft.ifft(rows, axis=1, norm="forward", overwrite_x=True)[:, keep]
 
 
 def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:

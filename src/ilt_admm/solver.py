@@ -212,6 +212,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                 + cfg.beta1 * tv_norm(uu) + cfg.beta2 * binarity_penalty(uu))
 
     best_u, best_hu, best_val = u, hu, original_objective(u, hu)
+    move = np.empty_like(u)  # scratch for each Armijo trial's move
 
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an
@@ -222,9 +223,13 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
             t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
-                u_t = project_box(u - t * g)
-                move = u - u_t
-                move_sq = float(np.sum(move * move))
+                # u_t = P(u - t g) and its squared move, formed in place
+                u_t = np.multiply(g, t)
+                np.subtract(u, u_t, out=u_t)
+                project_box(u_t, out=u_t)
+                np.subtract(u, u_t, out=move)
+                move *= move
+                move_sq = float(np.sum(move))
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(kernel, u_t)

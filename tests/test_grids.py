@@ -29,9 +29,13 @@ def test_norms_trivial():
     assert l2_norm(x) == 3.0
 
 
-@given(finite_grids)
-def test_l2_squared_is_self_inner(x):
-    assert l2_norm(x) ** 2 == pytest.approx(inner(x, x), rel=1e-12, abs=1e-12)
+@given(finite_grids, finite_grids)
+def test_l2_squared_is_self_inner(x, y):
+    for z in (x, x + 1j * y):
+        assert l2_norm(z) ** 2 == pytest.approx(inner(z, z), rel=1e-12, abs=1e-12)
+        # numpy's pairwise sums agree with the BLAS reductions they replace
+        assert l2_norm(z) == pytest.approx(np.linalg.norm(z), rel=1e-12, abs=1e-12)
+        assert inner(z, y) == pytest.approx(np.vdot(z, y).real, rel=1e-12, abs=1e-9)
 
 
 def test_inner_requires_matching_shapes():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from ilt_admm.grids import GridError
 from ilt_admm.optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
@@ -177,6 +178,38 @@ def test_adjoint_reuses_its_lattice_exactly():
         convolve_adjoint(kernel, x1)
         got = convolve_adjoint(kernel, x2)
         assert np.array_equal(got, convolve_adjoint(PsfKernel(samples), x2))
+
+
+def full_lattice_convolution(op, y, start, adjoint):
+    """The n x n window at start of the cyclic convolution of the lattice y
+    with the kernel (conjugate spectrum if adjoint), by whole 2-D transforms:
+    rfft2/irfft2 for a real kernel, fft2/ifft2 for a complex one."""
+    fft, ifft = (sfft.rfft2, sfft.irfft2) if op.real else (sfft.fft2, sfft.ifft2)
+    kernel_hat = fft(op.kernel.real if op.real else op.kernel, op.shape)
+    y_hat = fft(y, op.shape)
+    y_hat *= np.conj(kernel_hat) if adjoint else kernel_hat
+    full = ifft(y_hat, op.shape)
+    return full[start:start + op.n, start:start + op.n]
+
+
+def test_pruned_passes_equal_full_lattice_transforms():
+    # the operator skips the FFT rows that hold no input or are cropped
+    # away; its results must still be the whole 2-D transforms' bit for bit,
+    # on a second call (kept buffers reused) as on the first
+    cases = [(PsfKernel(samples), n) for k, n in LATTICE_CASES
+             for samples in (RNG.normal(size=(k, k)), complex_normal((k, k)))]
+    cases += [(build_psf(OpticsConfig(defocus_nm=d)), 144) for d in (0.0, 50.0)]
+    for kernel, n in cases:
+        op = kernel.op(n)
+        s = op.crop
+        for _ in range(2):
+            u, x = RNG.random((n, n)), complex_normal((n, n))
+            want = full_lattice_convolution(op, u, s, adjoint=False)
+            assert np.array_equal(convolve(kernel, u), want), (op.shape, n)
+            y = np.zeros(op.shape, dtype=float if op.real else complex)
+            y[s:s + n, s:s + n] = x.real if op.real else x
+            want = full_lattice_convolution(op, y, 0, adjoint=True).real
+            assert np.array_equal(convolve_adjoint(kernel, x), want), (op.shape, n)
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():

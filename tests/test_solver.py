@@ -317,6 +317,27 @@ def test_admm_state_takes_the_image_dtype(monkeypatch):
         assert set(seen) == {np.dtype(dtype)}, defocus
 
 
+def test_solve_makes_no_blas_call(monkeypatch):
+    # after a threaded BLAS call OpenBLAS's idle workers spin on the cores
+    # the FFTs need, so nothing from the kernel to the returned mask and its
+    # evaluation may call one
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call during the solve")
+
+    monkeypatch.setattr(np, "dot", blas)
+    monkeypatch.setattr(np, "vdot", blas)
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    target = np.zeros((32, 32))
+    target[8:24, 8:24] = 1.0
+    cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2)
+    for defocus in (0.0, 10.0):
+        optics_cfg = OpticsConfig(kernel_size=20, defocus_nm=defocus)
+        kernel = build_psf(optics_cfg)
+        u, records = admm_optimize(target, optics_cfg, cfg, kernel=kernel)
+        assert len(records) == 2
+        assert np.isfinite(evaluate(u, target, optics_cfg, kernel=kernel).error)
+
+
 def test_admm_is_deterministic():
     target = np.zeros((32, 32))
     target[10:22, 10:22] = 1.0
