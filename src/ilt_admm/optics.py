@@ -116,13 +116,23 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     1/(PUPIL_OVERSAMPLE * kernel_size * pixel_size) and inverse-transformed
     by a direct quadrature sum onto the kernel pixels, centered so the peak
     sits at the kernel center; the result is scaled to unit DC gain (sum = 1).
+
+    Only the quadrant fx, fy >= 0 is evaluated; the other three are mirror
+    copies of it. That is exact, not just up to rounding: the lattice
+    f = arange(-m, m + 1) * df is exactly odd (each -j * df is the negation
+    of j * df), so fx * fx is exactly even, and a mirrored point adds the
+    same two squares in the same order. Every pupil sample, and so the
+    kernel, is bit for bit that of the whole-lattice evaluation.
     """
     k = cfg.kernel_size
     df = 1.0 / (PUPIL_OVERSAMPLE * k * cfg.pixel_size_nm)
     m = int(np.ceil(cutoff_frequency(cfg) / df))
     f = np.arange(-m, m + 1) * df
-    fx, fy = np.meshgrid(f, f, indexing="ij")
-    pupil = build_pupil(cfg, fx, fy)
+    q = build_pupil(cfg, f[m:, None], f[None, m:])  # fx, fy >= 0
+    pupil = np.empty((2 * m + 1, 2 * m + 1), dtype=complex)
+    pupil[m:, m:] = q
+    pupil[m:, :m] = q[:, :0:-1]  # fy < 0
+    pupil[:m] = pupil[:m:-1]  # fx < 0
 
     x = (np.arange(k) - (k - 1) / 2.0) * cfg.pixel_size_nm
     # separable inverse-DFT quadrature: H[m,n] = sum P[j,l] e^{i2pi f_j x_m} e^{i2pi f_l x_n}
@@ -172,10 +182,14 @@ class _ConvOperator:
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
         self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
+        # the kernel's spectrum by the same pruned passes: the first covers
+        # only the k rows (columns, for fft2's axis-0 pass) that hold the kernel
         if self.real:
-            self.kernel_hat = sfft.rfft2(kernel.real, self.shape)
+            rows = sfft.rfft(kernel.real, size, axis=1)
+            self.kernel_hat = sfft.fft(rows, size, axis=0)
         else:
-            self.kernel_hat = sfft.fft2(kernel, self.shape)
+            cols = sfft.fft(kernel, size, axis=0)
+            self.kernel_hat = sfft.fft(cols, size, axis=1)
         self._adjoint_hat = None
         self._window = None  # the adjoint's input rows (real) or columns
         self._lattice = None  # their first pass, zero off the window

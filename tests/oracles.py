@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite. Deliberately slow
 and simple: double-loop convolution, dense 1-D search for the V-update,
-central-difference gradients, and a power series Bessel J1. Nothing here
-imports the package they check.
+central-difference gradients, a PSF quadrature over the whole pupil
+lattice, and a power series Bessel J1. Nothing here imports the package
+they check.
 """
 
 from __future__ import annotations
@@ -127,6 +128,32 @@ def fd_gradient(f: Callable[[np.ndarray], float], u: np.ndarray,
             e[idx] = direction * h
             out[idx] += direction * (f(u + e) - f(u - e)) / (2.0 * h)
     return out
+
+
+def psf_full_quadrature(wavelength_nm: float, numerical_aperture: float,
+                        defocus_nm: float, pixel_size_nm: float,
+                        kernel_size: int) -> np.ndarray:
+    """The normalized PSF samples by the pupil quadrature evaluated on the
+    whole (2m+1)^2 frequency lattice, with no symmetry used: the pupil
+    (cutoff NA/lambda, defocus phase exp(-i 2pi/lambda D sqrt(1 - f^2
+    lambda^2))) is sampled at step 1/(64 k pixel), as the package's
+    PUPIL_OVERSAMPLE asks, and summed onto the kernel pixels by one matrix
+    product per axis."""
+    k = kernel_size
+    cutoff = numerical_aperture / wavelength_nm
+    df = 1.0 / (64 * k * pixel_size_nm)
+    m = int(np.ceil(cutoff / df))
+    f = np.arange(-m, m + 1) * df
+    fx, fy = np.meshgrid(f, f, indexing="ij")
+    f2 = fx * fx + fy * fy
+    lam = wavelength_nm
+    w = defocus_nm * np.sqrt(np.clip(1.0 - f2 * lam * lam, 0.0, None))
+    pupil = np.where(np.sqrt(f2) <= cutoff,
+                     np.exp(-1j * (2.0 * np.pi / lam) * w), 0.0 + 0.0j)
+    x = (np.arange(k) - (k - 1) / 2.0) * pixel_size_nm
+    ex = np.exp(2j * np.pi * np.outer(x, f))
+    h = ex @ pupil @ ex.T
+    return h / h.sum()
 
 
 def bessel_j1(x: float) -> float:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -6,7 +8,7 @@ from ilt_admm.grids import GridError
 from ilt_admm.optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
                              build_pupil, convolve, convolve_adjoint,
                              cutoff_frequency, image_sigmoid, image_threshold)
-from oracles import bessel_j1, convolve_naive
+from oracles import bessel_j1, convolve_naive, psf_full_quadrature
 
 RNG = np.random.default_rng(7)
 
@@ -82,6 +84,25 @@ def test_psf_defocus_is_complex():
     kernel = build_psf(OpticsConfig(defocus_nm=50.0, kernel_size=40))
     assert np.abs(kernel.samples.imag).max() > 1e-6
     assert abs(kernel.samples.sum() - 1.0) < 1e-12
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_build_psf_equals_full_lattice_quadrature():
+    # build_psf evaluates one quadrant of the pupil and mirrors it; the
+    # kernel must be the whole-lattice quadrature's in every bit
+    cases = [OpticsConfig(defocus_nm=float(d)) for d in range(-100, 101, 10)]
+    cases += [OpticsConfig(kernel_size=k, defocus_nm=d)
+              for k in (1, 2, 7, 16) for d in (0.0, 37.0)]
+    cases.append(OpticsConfig(numerical_aperture=0.3, pixel_size_nm=7.3,
+                              kernel_size=31, defocus_nm=37.0))
+    for cfg in cases:
+        want = psf_full_quadrature(cfg.wavelength_nm, cfg.numerical_aperture,
+                                   cfg.defocus_nm, cfg.pixel_size_nm,
+                                   cfg.kernel_size)
+        assert sha256(build_psf(cfg).samples) == sha256(want), cfg
 
 
 def test_convolve_impulse_is_identity():
@@ -180,12 +201,20 @@ def test_adjoint_reuses_its_lattice_exactly():
         assert np.array_equal(got, convolve_adjoint(PsfKernel(samples), x2))
 
 
+def full_lattice_spectrum(op):
+    """The operator's kernel spectrum by one whole 2-D transform: rfft2 for
+    a real kernel, fft2 for a complex one."""
+    if op.real:
+        return sfft.rfft2(op.kernel.real, op.shape)
+    return sfft.fft2(op.kernel, op.shape)
+
+
 def full_lattice_convolution(op, y, start, adjoint):
     """The n x n window at start of the cyclic convolution of the lattice y
     with the kernel (conjugate spectrum if adjoint), by whole 2-D transforms:
     rfft2/irfft2 for a real kernel, fft2/ifft2 for a complex one."""
     fft, ifft = (sfft.rfft2, sfft.irfft2) if op.real else (sfft.fft2, sfft.ifft2)
-    kernel_hat = fft(op.kernel.real if op.real else op.kernel, op.shape)
+    kernel_hat = full_lattice_spectrum(op)
     y_hat = fft(y, op.shape)
     y_hat *= np.conj(kernel_hat) if adjoint else kernel_hat
     full = ifft(y_hat, op.shape)
@@ -210,6 +239,21 @@ def test_pruned_passes_equal_full_lattice_transforms():
             y[s:s + n, s:s + n] = x.real if op.real else x
             want = full_lattice_convolution(op, y, 0, adjoint=True).real
             assert np.array_equal(convolve_adjoint(kernel, x), want), (op.shape, n)
+
+
+def test_kernel_spectrum_equals_full_lattice_transform():
+    # the operator builds its kernel spectrum by pruned 1-D passes; it must
+    # be the whole-lattice rfft2 (real kernel) or fft2 (complex) bit for bit
+    cases = [(samples, n) for k, n in LATTICE_CASES
+             for samples in (RNG.normal(size=(k, k)), complex_normal((k, k)))]
+    cases += [(RNG.normal(size=(1, 1)), 1), (complex_normal((1, 1)), 1)]
+    cases += [(build_psf(OpticsConfig(defocus_nm=d)).samples, 144)
+              for d in (0.0, 50.0)]
+    for samples, n in cases:
+        op = PsfKernel(samples).op(n)
+        want = full_lattice_spectrum(op)
+        assert op.kernel_hat.shape == want.shape, (op.shape, n)
+        assert sha256(op.kernel_hat) == sha256(want), (op.shape, n)
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():
