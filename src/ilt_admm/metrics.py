@@ -3,12 +3,13 @@ l2 norm, the scalar quality measure for a mask."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import optics as _optics
-from .grids import as_binary, check_same_shape, l2_norm
+from .grids import GridError, as_binary, check_same_shape, l2_norm
 from .optics import OpticsConfig, PsfKernel
 
 
@@ -38,15 +39,22 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     hard threshold) and compare the printed pattern with the target.
 
     Evaluation always uses the hard threshold: it is the printed wafer
-    pattern, not the sigmoid surrogate used inside the solver.
+    pattern, not the sigmoid surrogate used inside the solver. The printed
+    image is 0/1 by construction, so only the target is checked for
+    binarity. Between 0/1 grids |printed - target| is the indicator of
+    printed != target, and the error is sqrt(#differing pixels): the l2
+    norm of that map exactly, since its sum of squares is an integer.
     """
+    target = as_binary(target)
+    mask = np.asarray(mask, dtype=float)
+    check_same_shape(mask, target)
+    if not np.isfinite(mask).all():
+        raise GridError("mask contains non-finite values")
     if kernel is None:
         kernel = _optics.build_psf(optics_cfg)
-    v = _optics.convolve(kernel, np.asarray(mask, dtype=float))
+    v = _optics.convolve(kernel, mask)
     printed = _optics.image_threshold(_optics.aerial_image(v), optics_cfg.threshold)
-    epe = epe_map(printed, target)
-    return EvaluationReport(
-        epe=epe,
-        error=l2_norm(epe),
-        nonzero_epe_pixels=int(np.count_nonzero(epe)),
-    )
+    missed = printed != target
+    count = int(np.count_nonzero(missed))
+    return EvaluationReport(epe=missed.astype(float), error=math.sqrt(count),
+                            nonzero_epe_pixels=count)

@@ -11,6 +11,7 @@ defocus enters as a phase aberration inside the pupil.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -81,8 +82,9 @@ def build_pupil(cfg: OpticsConfig, fx: np.ndarray, fy: np.ndarray) -> np.ndarray
     # inside the cutoff, (f^2+g^2) lambda^2 <= NA^2 < 1
     lam = cfg.wavelength_nm
     w = cfg.defocus_nm * np.sqrt(np.clip(1.0 - f2 * lam * lam, 0.0, None))
-    pupil = np.exp(-1j * (2.0 * np.pi / lam) * w)
-    return np.where(inside, pupil, 0.0 + 0.0j)
+    # the complex exp only inside the disc; the zeros stand outside it
+    return np.exp(-1j * (2.0 * np.pi / lam) * w, where=inside,
+                  out=np.zeros(inside.shape, dtype=complex))
 
 
 @dataclass
@@ -109,6 +111,25 @@ class PsfKernel:
         return self._ops[n]
 
 
+# a focus sweep needs one entry; each holds ~0.45 MB at the production setting
+@functools.lru_cache(maxsize=4)
+def _quadrature(kernel_size: int, pixel_size_nm: float,
+                m: int) -> tuple[np.ndarray, np.ndarray]:
+    """build_psf's frequency lattice f = arange(-m, m + 1) * df and its
+    phase matrix ex = exp(2 pi i x f) over the kernel pixels x, read-only.
+
+    Neither depends on focus, NA or wavelength except through m, so every
+    kernel of a focus sweep shares one pair, built once per process.
+    """
+    df = 1.0 / (PUPIL_OVERSAMPLE * kernel_size * pixel_size_nm)
+    f = np.arange(-m, m + 1) * df
+    x = (np.arange(kernel_size) - (kernel_size - 1) / 2.0) * pixel_size_nm
+    ex = np.exp(2j * np.pi * np.outer(x, f))
+    f.flags.writeable = False
+    ex.flags.writeable = False
+    return f, ex
+
+
 def build_psf(cfg: OpticsConfig) -> PsfKernel:
     """Inverse-transform the sampled pupil into a normalized spatial kernel.
 
@@ -122,21 +143,20 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     f = arange(-m, m + 1) * df is exactly odd (each -j * df is the negation
     of j * df), so fx * fx is exactly even, and a mirrored point adds the
     same two squares in the same order. Every pupil sample, and so the
-    kernel, is bit for bit that of the whole-lattice evaluation.
+    kernel, is bit for bit that of the whole-lattice evaluation. The
+    lattice and the phase matrix come from _quadrature's cache.
     """
     k = cfg.kernel_size
     df = 1.0 / (PUPIL_OVERSAMPLE * k * cfg.pixel_size_nm)
     m = int(np.ceil(cutoff_frequency(cfg) / df))
-    f = np.arange(-m, m + 1) * df
+    f, ex = _quadrature(k, cfg.pixel_size_nm, m)
     q = build_pupil(cfg, f[m:, None], f[None, m:])  # fx, fy >= 0
     pupil = np.empty((2 * m + 1, 2 * m + 1), dtype=complex)
     pupil[m:, m:] = q
     pupil[m:, :m] = q[:, :0:-1]  # fy < 0
     pupil[:m] = pupil[:m:-1]  # fx < 0
 
-    x = (np.arange(k) - (k - 1) / 2.0) * cfg.pixel_size_nm
     # separable inverse-DFT quadrature: H[m,n] = sum P[j,l] e^{i2pi f_j x_m} e^{i2pi f_l x_n}
-    ex = np.exp(2j * np.pi * np.outer(x, f))
     h = ex @ pupil @ ex.T
     h = h / h.sum()
     return PsfKernel(samples=h, config=cfg)

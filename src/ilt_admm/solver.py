@@ -154,8 +154,15 @@ def _bregman_objective(u: np.ndarray, hu: np.ndarray, w: np.ndarray,
     gap = phi(u, cfg.beta1, cfg.beta2)
     np.subtract(d, gap, out=gap)
     gap -= b
-    f = float(np.sum(np.abs(resid) ** 2)) + 0.5 * cfg.gamma * float(np.sum(gap ** 2))
+    f = _sum_squares(resid) + 0.5 * cfg.gamma * _sum_squares(gap)
     return f, resid, gap
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    """sum |x|^2 as the squares of the real view of x (re, im interleaved
+    for complex data): no complex abs, no BLAS. x must be C-contiguous."""
+    r = x.view(float) if np.iscomplexobj(x) else x
+    return float(np.sum(np.square(r)))
 
 
 def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
@@ -208,7 +215,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     b = np.zeros((3,) + u.shape)
 
     def original_objective(uu: np.ndarray, huu: np.ndarray) -> float:
-        return (float(np.sum(np.abs(huu - w) ** 2))
+        return (_sum_squares(huu - w)
                 + cfg.beta1 * tv_norm(uu) + cfg.beta2 * binarity_penalty(uu))
 
     best_u, best_hu, best_val = u, hu, original_objective(u, hu)

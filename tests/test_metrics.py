@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ilt_admm.grids import GridError
+from ilt_admm.grids import GridError, l2_norm
 from ilt_admm.metrics import epe_error, epe_map, evaluate
-from ilt_admm.optics import OpticsConfig, build_psf
-from ilt_admm.targets import rectangles
+from ilt_admm.optics import (OpticsConfig, aerial_image, build_psf, convolve,
+                             image_threshold)
+from ilt_admm.targets import rectangles, ten_rectangles
+
+RNG = np.random.default_rng(5)
 
 
 def test_epe_map_counts_differing_pixels():
@@ -50,3 +53,38 @@ def test_evaluate_empty_mask_prints_nothing():
     target = rectangles(64, rows=1, cols=1, width=20, height=20)
     report = evaluate(np.zeros_like(target), target, cfg)
     assert report.nonzero_epe_pixels == int(target.sum())
+
+
+def test_evaluate_equals_the_validated_epe_chain():
+    # evaluate checks only the target for binarity and counts the EPE map
+    # directly; error, pixel count and map must be those of the validated
+    # chain epe_map / l2_norm, bit for bit, on gray masks in and out of focus
+    target = ten_rectangles(64)
+    for defocus in (0.0, 50.0):
+        cfg = OpticsConfig(kernel_size=20, defocus_nm=defocus)
+        kernel = build_psf(cfg)
+        for mask in (target, np.clip(target + 0.4 * RNG.normal(size=target.shape),
+                                     0.0, 1.0)):
+            printed = image_threshold(aerial_image(convolve(kernel, mask)),
+                                      cfg.threshold)
+            want = epe_map(printed, target)
+            report = evaluate(mask, target, cfg, kernel=kernel)
+            assert report.error == l2_norm(want)
+            assert report.nonzero_epe_pixels == int(np.count_nonzero(want))
+            assert np.array_equal(report.epe, want)
+            assert report.epe.dtype == want.dtype
+
+
+def test_evaluate_rejects_bad_grids():
+    cfg = OpticsConfig(kernel_size=20)
+    target = ten_rectangles(64)
+    with pytest.raises(GridError, match="binary"):
+        evaluate(target, np.full(target.shape, 0.5), cfg)
+    with pytest.raises(GridError, match="dimension"):
+        evaluate(target[:32, :32], target, cfg)
+    # one non-finite pixel must not read as a mask that prints nothing
+    for bad in (np.nan, np.inf, -np.inf):
+        mask = target.copy()
+        mask[10, 10] = bad
+        with pytest.raises(GridError, match="non-finite"):
+            evaluate(mask, target, cfg)

@@ -5,8 +5,8 @@ import pytest
 from scipy import fft as sfft
 
 from ilt_admm.grids import GridError
-from ilt_admm.optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
-                             build_pupil, convolve, convolve_adjoint,
+from ilt_admm.optics import (OpticsConfig, PsfKernel, _quadrature, aerial_image,
+                             build_psf, build_pupil, convolve, convolve_adjoint,
                              cutoff_frequency, image_sigmoid, image_threshold)
 from oracles import bessel_j1, convolve_naive, psf_full_quadrature
 
@@ -91,18 +91,54 @@ def sha256(a: np.ndarray) -> str:
 
 
 def test_build_psf_equals_full_lattice_quadrature():
-    # build_psf evaluates one quadrant of the pupil and mirrors it; the
-    # kernel must be the whole-lattice quadrature's in every bit
+    # build_psf evaluates one quadrant of the pupil and mirrors it, on a
+    # cached lattice and phase matrix; the kernel must be the whole-lattice
+    # quadrature's in every bit, built cold (cache empty) and warm
     cases = [OpticsConfig(defocus_nm=float(d)) for d in range(-100, 101, 10)]
     cases += [OpticsConfig(kernel_size=k, defocus_nm=d)
               for k in (1, 2, 7, 16) for d in (0.0, 37.0)]
     cases.append(OpticsConfig(numerical_aperture=0.3, pixel_size_nm=7.3,
                               kernel_size=31, defocus_nm=37.0))
-    for cfg in cases:
-        want = psf_full_quadrature(cfg.wavelength_nm, cfg.numerical_aperture,
-                                   cfg.defocus_nm, cfg.pixel_size_nm,
-                                   cfg.kernel_size)
-        assert sha256(build_psf(cfg).samples) == sha256(want), cfg
+    wants = [sha256(psf_full_quadrature(cfg.wavelength_nm,
+                                        cfg.numerical_aperture, cfg.defocus_nm,
+                                        cfg.pixel_size_nm, cfg.kernel_size))
+             for cfg in cases]
+    for cold in (True, False):
+        for cfg, want in zip(cases, wants):
+            if cold:
+                _quadrature.cache_clear()
+            assert sha256(build_psf(cfg).samples) == want, (cfg, cold)
+
+
+def test_quadrature_is_shared_across_focus_and_resist_settings():
+    _quadrature.cache_clear()
+    base = OpticsConfig(kernel_size=16)
+    build_psf(base)
+    info = _quadrature.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    # defocus, threshold and steepness leave the lattice alone: one entry
+    for cfg in (OpticsConfig(kernel_size=16, defocus_nm=50.0),
+                OpticsConfig(kernel_size=16, threshold=0.4),
+                OpticsConfig(kernel_size=16, sigmoid_steepness=5.0)):
+        build_psf(cfg)
+    info = _quadrature.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    # kernel size, pixel size and NA (through the cutoff) each miss
+    for cfg in (OpticsConfig(kernel_size=17),
+                OpticsConfig(kernel_size=16, pixel_size_nm=7.3),
+                OpticsConfig(kernel_size=16, numerical_aperture=0.3)):
+        build_psf(cfg)
+    info = _quadrature.cache_info()
+    assert (info.hits, info.misses) == (3, 4)
+
+
+def test_quadrature_arrays_are_read_only():
+    f, ex = _quadrature(16, 5.0, 12)
+    assert f.shape == (25,) and ex.shape == (16, 25)
+    with pytest.raises(ValueError):
+        f[0] = 0.0
+    with pytest.raises(ValueError):
+        ex *= 2.0
 
 
 def test_convolve_impulse_is_identity():

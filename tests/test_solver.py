@@ -97,8 +97,11 @@ def test_grad_F_reusing_residual_and_gap_is_bit_identical():
         f, resid, gap = _bregman_objective(u, hu, w, d, b, cfg)
         assert np.array_equal(resid, hu - w)
         assert np.array_equal(gap, d - phi(u, cfg.beta1, cfg.beta2) - b)
-        assert f == (float(np.sum(np.abs(hu - w) ** 2))
-                     + 0.5 * cfg.gamma * float(np.sum(gap ** 2)))
+        # each sum of squares is x * x over the real view: re and im of the
+        # complex residual interleaved, no complex abs
+        r = (hu - w).view(float)
+        assert f == (float(np.sum(r * r))
+                     + 0.5 * cfg.gamma * float(np.sum(gap * gap)))
         got = grad_F(u, w, d, b, cfg, kernel, resid=resid, gap=gap)
         assert np.array_equal(got, grad_F(u, w, d, b, cfg, kernel))
 
@@ -336,6 +339,29 @@ def test_solve_makes_no_blas_call(monkeypatch):
         u, records = admm_optimize(target, optics_cfg, cfg, kernel=kernel)
         assert len(records) == 2
         assert np.isfinite(evaluate(u, target, optics_cfg, kernel=kernel).error)
+
+
+def test_u_step_takes_no_complex_abs(monkeypatch):
+    # the U-step's sums of squares square the real view of a complex
+    # residual; a complex abs takes a square root per pixel. (Its sums
+    # round to the same doubles on most grids, so the == pins above
+    # cannot tell the two apart.)
+    real_abs = np.abs
+
+    def abs_of_real(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            raise AssertionError("complex abs in the U-step")
+        return real_abs(x, *args, **kwargs)
+
+    cfg = SolverConfig(bregman_max_iters=2, descent_max_iters=3)
+    kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
+    u0 = np.zeros((32, 32))
+    u0[8:24, 8:24] = 1.0
+    hu0 = convolve(kernel, u0)  # builds the operator before the patch
+    w = hu0 + 0.1 * (1.0 + 1.0j)
+    monkeypatch.setattr(np, "abs", abs_of_real)
+    out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
+    assert np.iscomplexobj(hu) and not np.array_equal(out, u0)
 
 
 def test_admm_is_deterministic():
