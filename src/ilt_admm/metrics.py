@@ -44,15 +44,25 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     binarity. Between 0/1 grids |printed - target| is the indicator of
     printed != target, and the error is sqrt(#differing pixels): the l2
     norm of that map exactly, since its sum of squares is an integer.
+
+    The mask must be real, finite and of the target's shape (GridError
+    otherwise). Once checked, it is imaged by optics.convolve_cached: with
+    a complex (defocused) kernel its spectrum is reused from earlier calls
+    on the same mask, so a process window transforms each mask once rather
+    than once per focus setting. The report is that of optics.convolve bit
+    for bit.
     """
     target = as_binary(target)
-    mask = np.asarray(mask, dtype=float)
+    mask = np.asarray(mask)
+    if np.iscomplexobj(mask):
+        raise GridError("mask must be real, got complex data")
+    mask = mask.astype(float, copy=False)
     check_same_shape(mask, target)
     if not np.isfinite(mask).all():
         raise GridError("mask contains non-finite values")
     if kernel is None:
         kernel = _optics.build_psf(optics_cfg)
-    v = _optics.convolve(kernel, mask)
+    v = _optics.convolve_cached(kernel, mask)
     printed = _optics.image_threshold(_optics.aerial_image(v), optics_cfg.threshold)
     missed = printed != target
     count = int(np.count_nonzero(missed))

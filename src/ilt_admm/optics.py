@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -186,6 +187,11 @@ class _ConvOperator:
     2-D transforms bit for bit. A complex kernel's forward keeps fft2 whole:
     it fills the Hermitian half of a real mask's spectrum its own way. The
     adjoint builds its conjugate spectrum and input buffers on first call.
+
+    forward is spectrum (the mask's transform) followed by image (the
+    kernel product and the pruned inverse), fused in place. image leaves
+    the spectrum it is given untouched, so one spectrum can serve every
+    kernel on the same lattice (see convolve_cached).
     """
 
     def __init__(self, kernel: np.ndarray, n: int):
@@ -214,14 +220,22 @@ class _ConvOperator:
         self._window = None  # the adjoint's input rows (real) or columns
         self._lattice = None  # their first pass, zero off the window
 
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        """Linear convolution of an n x n grid, cropped to the central window."""
+    def spectrum(self, u: np.ndarray) -> np.ndarray:
+        """The transform of an n x n grid on the lattice: half of it (rfft
+        layout) for a real kernel, all of it for a complex one."""
         size = self.shape[0]
         if self.real:
             rows = sfft.rfft(u, size, axis=1)  # the n rows that hold input
-            u_hat = sfft.fft(rows, size, axis=0, overwrite_x=True)
-        else:
-            u_hat = sfft.fft2(u, self.shape)
+            return sfft.fft(rows, size, axis=0, overwrite_x=True)
+        return sfft.fft2(u, self.shape)
+
+    def image(self, u_hat: np.ndarray) -> np.ndarray:
+        """forward from the grid's spectrum, which stays unchanged."""
+        return self._inverse(u_hat * self.kernel_hat, self.crop)
+
+    def forward(self, u: np.ndarray) -> np.ndarray:
+        """Linear convolution of an n x n grid, cropped to the central window."""
+        u_hat = self.spectrum(u)
         u_hat *= self.kernel_hat
         return self._inverse(u_hat, self.crop)
 
@@ -270,6 +284,71 @@ def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(u):
         raise GridError("mask must be real, got complex data")
     return kernel.op(u.shape[0]).forward(u)
+
+
+# The bytes convolve_cached may hold. At the production setting (144² field,
+# 196² complex lattice) one entry costs ~0.78 MB: the 614 KB spectrum plus
+# the 166 KB mask copy, so this holds 21. A process-window sweep cycles
+# through its masks once per focus setting, and an LRU smaller than that
+# cycle (12 masks) never hits.
+SPECTRUM_CACHE_BYTES = 16 * 2**20
+
+
+class _SpectrumCache:
+    """Least recently used mask spectra of complex-kernel operators, keyed
+    by lattice, field size and the mask's sum, within a byte budget.
+
+    A hit needs the mask bit for bit: the uint64 views are compared, since
+    -0.0 == 0.0 under ==. Each entry holds a C-contiguous copy of its mask
+    and the read-only spectrum transformed from that copy.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (mask, spectrum)
+
+    def spectrum(self, op: _ConvOperator, u: np.ndarray) -> np.ndarray:
+        """op.spectrum(u) for a float64 n x n mask, from the cache when it
+        holds this mask."""
+        key = (op.shape, op.n, float(u.sum()))
+        entry = self._entries.get(key)
+        if entry is not None:
+            if np.array_equal(entry[0].view(np.uint64), u.view(np.uint64)):
+                self._entries.move_to_end(key)
+                return entry[1]
+            self._evict(key)  # a different mask with the same sum
+        mask = np.array(u, dtype=float, order="C")
+        u_hat = op.spectrum(mask)
+        u_hat.flags.writeable = False
+        size = mask.nbytes + u_hat.nbytes
+        if size <= self.budget:
+            while self.nbytes + size > self.budget:
+                self._evict(next(iter(self._entries)))
+            self._entries[key] = (mask, u_hat)
+            self.nbytes += size
+        return u_hat
+
+    def _evict(self, key) -> None:
+        mask, u_hat = self._entries.pop(key)
+        self.nbytes -= mask.nbytes + u_hat.nbytes
+
+
+_SPECTRA = _SpectrumCache(SPECTRUM_CACHE_BYTES)
+
+
+def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
+    """convolve(kernel, u) bit for bit, for a mask the caller has checked:
+    a real float64 n x n grid. A complex kernel takes the mask's spectrum
+    from a byte-bounded cache shared by every kernel on the same lattice,
+    so a mask imaged at many focus settings is transformed once. A real
+    kernel convolves as convolve does: its half spectrum would evict the
+    complex ones of a focus sweep at every pass.
+    """
+    op = kernel.op(u.shape[0])
+    if op.real:
+        return op.forward(u)
+    return op.image(_SPECTRA.spectrum(op, u))
 
 
 def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:

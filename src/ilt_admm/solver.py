@@ -145,14 +145,18 @@ def augmented_lagrangian(u: np.ndarray, hu: np.ndarray, v: np.ndarray,
 
 
 def _bregman_objective(u: np.ndarray, hu: np.ndarray, w: np.ndarray,
-                       d: np.ndarray, b: np.ndarray,
-                       cfg: SolverConfig) -> tuple[float, np.ndarray, np.ndarray]:
+                       d: np.ndarray, b: np.ndarray, cfg: SolverConfig,
+                       phi_u: Optional[np.ndarray] = None,
+                       ) -> tuple[float, np.ndarray, np.ndarray]:
     """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2, returned with
     the residual HU - W and the split gap d - Phi(U) - b so grad_F at U can
-    reuse them."""
+    reuse them. Phi(U) is computed unless given as phi_u."""
     resid = hu - w
-    gap = phi(u, cfg.beta1, cfg.beta2)
-    np.subtract(d, gap, out=gap)
+    if phi_u is None:
+        gap = phi(u, cfg.beta1, cfg.beta2)
+        np.subtract(d, gap, out=gap)
+    else:
+        gap = d - phi_u
     gap -= b
     f = _sum_squares(resid) + 0.5 * cfg.gamma * _sum_squares(gap)
     return f, resid, gap
@@ -211,7 +215,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     HU is the image already formed for it, not a new convolution.
     """
     u, hu = np.asarray(u_init, dtype=float), hu_init
-    d = phi(u, cfg.beta1, cfg.beta2)
+    d = phi_u = phi(u, cfg.beta1, cfg.beta2)  # phi_u: Phi at the current U
     b = np.zeros((3,) + u.shape)
 
     def original_objective(uu: np.ndarray, huu: np.ndarray) -> float:
@@ -224,7 +228,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an
         # accepted trial carries its own into the next descent step
-        f0, resid, gap = _bregman_objective(u, hu, w, d, b, cfg)
+        f0, resid, gap = _bregman_objective(u, hu, w, d, b, cfg, phi_u)
         for _ in range(cfg.descent_max_iters):
             g = grad_F(u, w, d, b, cfg, kernel, resid=resid, gap=gap)
             t = ARMIJO_T0

@@ -82,9 +82,36 @@ def test_evaluate_rejects_bad_grids():
         evaluate(target, np.full(target.shape, 0.5), cfg)
     with pytest.raises(GridError, match="dimension"):
         evaluate(target[:32, :32], target, cfg)
+    # the imaginary part must not be dropped
+    with pytest.raises(GridError, match="real"):
+        evaluate(target + 0.5j, target, cfg)
     # one non-finite pixel must not read as a mask that prints nothing
     for bad in (np.nan, np.inf, -np.inf):
         mask = target.copy()
         mask[10, 10] = bad
         with pytest.raises(GridError, match="non-finite"):
             evaluate(mask, target, cfg)
+
+
+def test_evaluate_reuses_mask_spectra_bit_for_bit(spectra):
+    # a focus sweep's evaluate calls share one transform of each mask; cold
+    # and warm, every report is the convolve chain's bit for bit
+    cache, transforms = spectra
+    target = ten_rectangles(144)
+    gray = np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
+    for k in (100, 80):
+        cfgs = [OpticsConfig(kernel_size=k, defocus_nm=d) for d in (0.0, 10.0, 50.0)]
+        kernels = [build_psf(cfg) for cfg in cfgs]
+        for mask in (target, gray):
+            wants = [image_threshold(aerial_image(convolve(kernel, mask)),
+                                     cfg.threshold) != target
+                     for cfg, kernel in zip(cfgs, kernels)]
+            before = len(transforms)
+            for _ in range(2):
+                for cfg, kernel, want in zip(cfgs, kernels, wants):
+                    report = evaluate(mask, target, cfg, kernel=kernel)
+                    count = int(np.count_nonzero(want))
+                    assert report.epe.tobytes() == want.astype(float).tobytes()
+                    assert report.nonzero_epe_pixels == count
+                    assert report.error == np.sqrt(count)
+            assert len(transforms) - before == 2 + 1  # focus twice, defocus once

@@ -5,9 +5,12 @@ import pytest
 from scipy import fft as sfft
 
 from ilt_admm.grids import GridError
-from ilt_admm.optics import (OpticsConfig, PsfKernel, _quadrature, aerial_image,
+from ilt_admm.optics import (SPECTRUM_CACHE_BYTES, OpticsConfig, PsfKernel,
+                             _quadrature, _SpectrumCache, aerial_image,
                              build_psf, build_pupil, convolve, convolve_adjoint,
-                             cutoff_frequency, image_sigmoid, image_threshold)
+                             convolve_cached, cutoff_frequency, image_sigmoid,
+                             image_threshold)
+from ilt_admm.targets import ten_rectangles
 from oracles import bessel_j1, convolve_naive, psf_full_quadrature
 
 RNG = np.random.default_rng(7)
@@ -290,6 +293,113 @@ def test_kernel_spectrum_equals_full_lattice_transform():
         want = full_lattice_spectrum(op)
         assert op.kernel_hat.shape == want.shape, (op.shape, n)
         assert sha256(op.kernel_hat) == sha256(want), (op.shape, n)
+
+
+def test_convolve_cached_is_convolve_bit_for_bit(spectra):
+    # cold and warm, in and out of focus, at two kernel sizes: the field is
+    # convolve's to the last bit, and the complex kernels on one lattice
+    # share one transform of each mask while the real one keeps its own
+    cache, transforms = spectra
+    target = ten_rectangles(144)
+    gray = np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
+    for k in (100, 80):
+        kernels = [build_psf(OpticsConfig(kernel_size=k, defocus_nm=d))
+                   for d in (0.0, 10.0, 50.0)]
+        for mask in (target, gray):
+            wants = [convolve(kernel, mask) for kernel in kernels]
+            before = len(transforms)
+            for _ in range(2):
+                for kernel, want in zip(kernels, wants):
+                    got = convolve_cached(kernel, mask)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (k, kernel.config)
+            # the real kernel: one per call; the complex ones: one in all
+            assert len(transforms) - before == 2 + 1
+    assert len(cache._entries) == 4  # complex spectra only: 2 sizes x 2 masks
+
+
+def test_spectrum_cache_tells_negative_zero_from_zero(spectra):
+    # -0.0 == 0.0, so two masks that differ only in the sign of their zeros
+    # compare equal and sum alike; the cache must still tell them apart
+    cache, transforms = spectra
+    kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
+    mask = ten_rectangles(64)
+    negative = mask.copy()
+    negative[mask == 0.0] = -0.0
+    convolve_cached(kernel, mask)
+    got = convolve_cached(kernel, negative)
+    assert len(transforms) == 2
+    assert got.tobytes() == convolve(kernel, negative).tobytes()
+    (stored, _), = cache._entries.values()
+    assert stored.tobytes() == negative.tobytes()
+
+
+def test_convolve_cached_takes_any_memory_layout(spectra):
+    cache, transforms = spectra
+    kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
+    base = np.clip(ten_rectangles(64) + 0.3 * RNG.normal(size=(64, 64)), 0.0, 1.0)
+    wide = RNG.random((128, 128))
+    for mask in (np.asfortranarray(base), base[:, ::-1], wide[::2, 1::2]):
+        assert not mask.flags.c_contiguous
+        want = convolve(kernel, np.ascontiguousarray(mask))
+        for _ in range(2):
+            assert convolve_cached(kernel, mask).tobytes() == want.tobytes()
+        stored, _ = cache._entries[next(reversed(cache._entries))]
+        assert stored.flags.c_contiguous and np.array_equal(stored, mask)
+
+
+def test_spectrum_cache_sees_a_mask_changed_in_place(spectra):
+    # swapping a 1 and a 0 keeps the sum, so the lookup key, the same
+    cache, transforms = spectra
+    kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
+    mask = ten_rectangles(64)
+    total = float(mask.sum())
+    first = convolve_cached(kernel, mask)
+    one, zero = tuple(np.argwhere(mask == 1.0)[0]), tuple(np.argwhere(mask == 0.0)[0])
+    mask[one], mask[zero] = 0.0, 1.0
+    assert float(mask.sum()) == total
+    got = convolve_cached(kernel, mask)
+    assert got.tobytes() == convolve(kernel, mask).tobytes()
+    assert not np.array_equal(got, first)
+
+
+def test_spectrum_cache_keeps_to_its_byte_budget():
+    op = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0)).op(32)
+    entry = op.shape[0] ** 2 * 16 + 32 * 32 * 8  # complex spectrum + mask
+    cache = _SpectrumCache(int(3.5 * entry))
+    masks = [RNG.random((32, 32)) for _ in range(6)]
+    for i, mask in enumerate(masks):
+        got = cache.spectrum(op, mask)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+        held = sum(m.nbytes + s.nbytes for m, s in cache._entries.values())
+        assert cache.nbytes == held <= cache.budget
+        assert len(cache._entries) == min(i + 1, 3)
+        assert all(not s.flags.writeable for _, s in cache._entries.values())
+    # least recently used goes first: touching masks[3] keeps it
+    cache.spectrum(op, masks[3])
+    cache.spectrum(op, RNG.random((32, 32)))
+    kept = [m for m, _ in cache._entries.values()]
+    assert any(np.array_equal(m, masks[3]) for m in kept)
+    assert not any(np.array_equal(m, masks[4]) for m in kept)
+    # an entry larger than the whole budget is not kept
+    small = _SpectrumCache(entry - 1)
+    assert small.spectrum(op, masks[0]).shape == op.shape
+    assert small.nbytes == 0 and not small._entries
+
+
+def test_spectrum_budget_holds_a_process_window_cycle(spectra):
+    # a process window images its 12 masks in turn at each focus setting;
+    # at the production setting the second cycle must hit on every mask
+    cache, transforms = spectra
+    op = build_psf(OpticsConfig(defocus_nm=50.0)).op(144)
+    masks = [RNG.random((144, 144)) for _ in range(12)]
+    for mask in masks:
+        cache.spectrum(op, mask)
+    for mask in masks:
+        cache.spectrum(op, mask)
+    assert len(transforms) == 12
+    assert cache.nbytes <= SPECTRUM_CACHE_BYTES
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ilt_admm import solver
+from ilt_admm import optics, solver
 from ilt_admm.grids import inner
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
@@ -341,6 +341,44 @@ def test_solve_makes_no_blas_call(monkeypatch):
         assert np.isfinite(evaluate(u, target, optics_cfg, kernel=kernel).error)
 
 
+def test_u_step_reuses_phi_at_each_sweep_start(monkeypatch):
+    # a sweep starts at the U the last one ended on (or at u_init), whose
+    # Phi(U) the U-step already has: one Phi per sweep saved, and the
+    # result is that of recomputing it, bit for bit
+    cfg = SolverConfig(bregman_max_iters=4, descent_max_iters=3)
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        # from gray toward a pattern's image: every sweep moves U
+        u_true = np.zeros((32, 32))
+        u_true[8:24, 10:22] = 1.0
+        u0 = np.full((32, 32), 0.5)
+        hu0 = convolve(kernel, u0)
+        w = convolve(kernel, u_true)
+        calls = {"phi": 0, "convolve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "phi", counted("phi", phi))
+            m.setattr(solver, "convolve", counted("convolve", convolve))
+            out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
+        # one at u_init, one per Armijo trial (each images its trial
+        # point), one per sweep end
+        assert calls["phi"] == 1 + calls["convolve"] + cfg.bregman_max_iters
+
+        def recomputing(u, hu, w, d, b, cfg, phi_u=None):
+            return _bregman_objective(u, hu, w, d, b, cfg)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_bregman_objective", recomputing)
+            want, want_hu = u_subproblem(w, u0, hu0, cfg, kernel)
+        assert out.tobytes() == want.tobytes() and hu.tobytes() == want_hu.tobytes()
+
+
 def test_u_step_takes_no_complex_abs(monkeypatch):
     # the U-step's sums of squares square the real view of a complex
     # residual; a complex abs takes a square root per pixel. (Its sums
@@ -362,6 +400,22 @@ def test_u_step_takes_no_complex_abs(monkeypatch):
     monkeypatch.setattr(np, "abs", abs_of_real)
     out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
     assert np.iscomplexobj(hu) and not np.array_equal(out, u0)
+
+
+def test_solver_never_looks_up_the_spectrum_cache(monkeypatch):
+    # the cache serves metrics.evaluate alone; a defocused solve must run
+    # with every lookup refused
+    def refuse(op, u):
+        raise AssertionError("the solver looked up a mask spectrum")
+
+    monkeypatch.setattr(optics._SPECTRA, "spectrum", refuse)
+    target = np.zeros((32, 32))
+    target[8:24, 10:22] = 1.0
+    oc = OpticsConfig(kernel_size=20, defocus_nm=10.0)
+    assert not build_psf(oc).op(32).real
+    cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2, descent_max_iters=3)
+    mask, records = admm_optimize(target, oc, cfg)
+    assert len(records) == 2 and mask.shape == target.shape
 
 
 def test_admm_is_deterministic():
