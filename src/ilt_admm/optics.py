@@ -112,60 +112,98 @@ class PsfKernel:
         return self._ops[n]
 
 
-# a focus sweep needs one entry; each holds ~0.45 MB at the production setting
+# a focus sweep needs one entry; each holds ~0.38 MB at the production setting
 @functools.lru_cache(maxsize=4)
-def _quadrature(kernel_size: int, pixel_size_nm: float,
-                m: int) -> tuple[np.ndarray, np.ndarray]:
-    """build_psf's frequency lattice f = arange(-m, m + 1) * df and its
-    phase matrix ex = exp(2 pi i x f) over the kernel pixels x, read-only.
+def _quadrature(kernel_size: int, pixel_size_nm: float, wavelength_nm: float,
+                numerical_aperture: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """build_psf's focus-independent arrays on the pupil quadrant
+    fx, fy = j * df, l * df (0 <= j, l <= m), read-only:
 
-    Neither depends on focus, NA or wavelength except through m, so every
-    kernel of a focus sweep shares one pair, built once per process.
+    - disc[j, l], 1.0 inside the cutoff disc and 0.0 outside, the pupil at
+      best focus;
+    - root[j, l] = sqrt(1 - lambda^2 (fx^2 + fy^2)) inside the disc, 0.0
+      outside, which scales the defocus phase;
+    - cosines[a, j] = 2 cos(2 pi x_a f_j), with cosines[a, 0] = 1, over the
+      first ceil(k / 2) kernel pixels x_a.
+
+    The defocus, threshold and steepness leave them alone, so every kernel
+    of a focus sweep shares one entry, built once per process.
     """
-    df = 1.0 / (PUPIL_OVERSAMPLE * kernel_size * pixel_size_nm)
-    f = np.arange(-m, m + 1) * df
-    x = (np.arange(kernel_size) - (kernel_size - 1) / 2.0) * pixel_size_nm
-    ex = np.exp(2j * np.pi * np.outer(x, f))
-    f.flags.writeable = False
-    ex.flags.writeable = False
-    return f, ex
+    k, lam = kernel_size, wavelength_nm
+    df = 1.0 / (PUPIL_OVERSAMPLE * k * pixel_size_nm)
+    cutoff = numerical_aperture / lam
+    m = int(np.ceil(cutoff / df))
+    f = np.arange(m + 1) * df
+    f2 = f[:, None] * f[:, None] + f[None, :] * f[None, :]
+    inside = np.sqrt(f2) <= cutoff
+    disc = inside.astype(float)
+    # inside the cutoff, (f^2+g^2) lambda^2 <= NA^2 < 1
+    root = np.sqrt(1.0 - f2 * lam * lam, where=inside, out=np.zeros(f2.shape))
+    x = (np.arange((k + 1) // 2) - (k - 1) / 2.0) * pixel_size_nm
+    cosines = 2.0 * np.cos(2.0 * np.pi * np.outer(x, f))
+    cosines[:, 0] = 1.0
+    for a in (disc, root, cosines):
+        a.flags.writeable = False
+    return disc, root, cosines
 
 
 def build_psf(cfg: OpticsConfig) -> PsfKernel:
     """Inverse-transform the sampled pupil into a normalized spatial kernel.
 
-    The pupil is sampled on a symmetric lattice with step
-    1/(PUPIL_OVERSAMPLE * kernel_size * pixel_size) and inverse-transformed
-    by a direct quadrature sum onto the kernel pixels, centered so the peak
-    sits at the kernel center; the result is scaled to unit DC gain (sum = 1).
+    The pupil (see build_pupil) is sampled on a symmetric lattice with step
+    df = 1/(PUPIL_OVERSAMPLE * kernel_size * pixel_size) and inverse-
+    transformed by a direct quadrature sum onto the kernel pixels, centered
+    so the peak sits at the kernel center; the result is scaled to unit DC
+    gain (sum = 1).
 
-    Only the quadrant fx, fy >= 0 is evaluated; the other three are mirror
-    copies of it. That is exact, not just up to rounding: the lattice
-    f = arange(-m, m + 1) * df is exactly odd (each -j * df is the negation
-    of j * df), so fx * fx is exactly even, and a mirrored point adds the
-    same two squares in the same order. Every pupil sample, and so the
-    kernel, is bit for bit that of the whole-lattice evaluation. The
-    lattice and the phase matrix come from _quadrature's cache.
+    The pupil is even in fx and in fy, so the sum over the whole lattice
+    folds onto the quadrant Q (fx, fy >= 0): h = C Q C^T with
+    C[a, 0] = 1 and C[a, j] = 2 cos(2 pi x_a f_j), from _quadrature's cache.
+    At best focus Q is the real 0/1 disc; under defocus it is the stacked
+    real pair cos(t), -sin(t) of the phase t = 2 pi / lambda * D * root.
+    Two einsum passes contract it, so no BLAS routine runs and the kernel's
+    bytes do not depend on the BLAS thread count. Several identities hold
+    exactly, not just up to rounding:
+
+    - Mirror symmetry. The pixel grid x is exactly odd (x_{k-1-a} is the
+      negation of x_a), so only the first ceil(k/2) rows and columns are
+      summed, and the rest are mirror copies: h == h[::-1] == h[:, ::-1].
+    - A real kernel at best focus: its imaginary part is 0.0.
+    - Conjugacy in the defocus: the phase is taken at |D| and only the
+      sine's sign follows D, and negation is exact through the sums and
+      the normalization, so build_psf at -D is the conjugate of that at D.
     """
     k = cfg.kernel_size
-    df = 1.0 / (PUPIL_OVERSAMPLE * k * cfg.pixel_size_nm)
-    m = int(np.ceil(cutoff_frequency(cfg) / df))
-    f, ex = _quadrature(k, cfg.pixel_size_nm, m)
-    q = build_pupil(cfg, f[m:, None], f[None, m:])  # fx, fy >= 0
-    pupil = np.empty((2 * m + 1, 2 * m + 1), dtype=complex)
-    pupil[m:, m:] = q
-    pupil[m:, :m] = q[:, :0:-1]  # fy < 0
-    pupil[:m] = pupil[:m:-1]  # fx < 0
-
-    # separable inverse-DFT quadrature: H[m,n] = sum P[j,l] e^{i2pi f_j x_m} e^{i2pi f_l x_n}
-    h = ex @ pupil @ ex.T
-    h = h / h.sum()
+    disc, root, cosines = _quadrature(k, cfg.pixel_size_nm, cfg.wavelength_nm,
+                                      cfg.numerical_aperture)
+    d = cfg.defocus_nm
+    if d == 0.0:
+        q = disc
+    else:
+        t = (2.0 * np.pi / cfg.wavelength_nm) * (abs(d) * root)
+        q = np.empty((2,) + t.shape)
+        np.cos(t, out=q[0])
+        q[0] *= disc  # cos(0) = 1 outside the disc, where root is 0
+        np.sin(t, out=q[1])
+        if d > 0.0:  # exp(-i t) for D > 0, exp(+i t) for D < 0
+            np.negative(q[1], out=q[1])
+    # optimize=False keeps einsum's own loops: no tensordot, so no BLAS
+    rows = np.einsum("aj,...jl->...al", cosines, q, optimize=False)
+    corner = np.einsum("...al,bl->...ab", rows, cosines, optimize=False)
+    half = cosines.shape[0]  # ceil(k / 2)
+    rest = k - half
+    h = np.empty((k, k), dtype=complex)
+    top = h[:half]
+    top[:, :half] = corner if d == 0.0 else corner[0] + 1j * corner[1]
+    top[:, half:] = top[:, :rest][:, ::-1]
+    h[half:] = h[:rest][::-1]
+    h /= h.sum()
     return PsfKernel(samples=h, config=cfg)
 
 
 # A kernel whose imaginary part has at most this share of its l1 norm is
-# real up to rounding (2.5e-16 at best focus, 0.11 at 10 nm defocus) and
-# convolves by real-input FFTs.
+# real up to rounding (build_psf's is 0 at best focus and 0.11 at 10 nm
+# defocus) and convolves by real-input FFTs.
 REAL_KERNEL_RTOL = 1e-12
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -58,8 +59,8 @@ def test_pupil_defocus_phase_at_center():
 def test_psf_zero_defocus_real_and_symmetric():
     kernel = build_psf(PRODUCTION)
     h = kernel.samples
-    assert np.abs(h.imag).max() < 1e-10
-    assert np.abs(h - h[::-1, ::-1]).max() < 1e-10
+    assert np.array_equal(h.imag, np.zeros(h.shape))
+    assert np.array_equal(h, h[::-1, ::-1])
     assert abs(h.sum() - 1.0) < 1e-12
     assert kernel.dc_gain == pytest.approx(1.0, abs=1e-12)
 
@@ -93,24 +94,45 @@ def sha256(a: np.ndarray) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-def test_build_psf_equals_full_lattice_quadrature():
-    # build_psf evaluates one quadrant of the pupil and mirrors it, on a
-    # cached lattice and phase matrix; the kernel must be the whole-lattice
-    # quadrature's in every bit, built cold (cache empty) and warm
-    cases = [OpticsConfig(defocus_nm=float(d)) for d in range(-100, 101, 10)]
-    cases += [OpticsConfig(kernel_size=k, defocus_nm=d)
+# build_psf's cases: the production kernel across the focus sweep, odd and
+# even kernel sizes down to one pixel, and a small NA on odd pixels
+PSF_CASES = [OpticsConfig(defocus_nm=float(d)) for d in range(-100, 101, 10)]
+PSF_CASES += [OpticsConfig(kernel_size=k, defocus_nm=d)
               for k in (1, 2, 7, 16) for d in (0.0, 37.0)]
-    cases.append(OpticsConfig(numerical_aperture=0.3, pixel_size_nm=7.3,
+PSF_CASES.append(OpticsConfig(numerical_aperture=0.3, pixel_size_nm=7.3,
                               kernel_size=31, defocus_nm=37.0))
-    wants = [sha256(psf_full_quadrature(cfg.wavelength_nm,
-                                        cfg.numerical_aperture, cfg.defocus_nm,
-                                        cfg.pixel_size_nm, cfg.kernel_size))
-             for cfg in cases]
-    for cold in (True, False):
-        for cfg, want in zip(cases, wants):
-            if cold:
-                _quadrature.cache_clear()
-            assert sha256(build_psf(cfg).samples) == want, (cfg, cold)
+
+
+def test_build_psf_equals_full_lattice_quadrature():
+    # build_psf folds the pupil onto one quadrant and sums it by a cosine
+    # quadrature; the kernel must be the whole-lattice complex quadrature's
+    # up to rounding, and built cold (cache empty) and warm, the same bytes.
+    # The oracle is a BLAS matrix product whose own rounding moves with the
+    # thread count, by up to 8.6e-16 * max|h| between 1 and 2 threads.
+    wants = [psf_full_quadrature(cfg.wavelength_nm, cfg.numerical_aperture,
+                                 cfg.defocus_nm, cfg.pixel_size_nm,
+                                 cfg.kernel_size)
+             for cfg in PSF_CASES]
+    cold = []
+    for cfg, want in zip(PSF_CASES, wants):
+        _quadrature.cache_clear()
+        h = build_psf(cfg).samples
+        assert np.abs(h - want).max() <= 2e-15 * np.abs(h).max(), cfg
+        cold.append(sha256(h))
+    for cfg, want in zip(PSF_CASES, cold):
+        assert sha256(build_psf(cfg).samples) == want, cfg
+
+
+def test_build_psf_symmetries_are_exact():
+    # mirror-even in x and in y, real at best focus, and h(-D) = conj h(D),
+    # each exactly, not up to rounding
+    for cfg in PSF_CASES:
+        h = build_psf(cfg).samples
+        assert np.array_equal(h, h[::-1]) and np.array_equal(h, h[:, ::-1]), cfg
+        if cfg.defocus_nm == 0.0:
+            assert np.array_equal(h.imag, np.zeros(h.shape)), cfg
+        mirror = dataclasses.replace(cfg, defocus_nm=-cfg.defocus_nm)
+        assert np.array_equal(build_psf(mirror).samples, np.conj(h)), cfg
 
 
 def test_quadrature_is_shared_across_focus_and_resist_settings():
@@ -119,29 +141,30 @@ def test_quadrature_is_shared_across_focus_and_resist_settings():
     build_psf(base)
     info = _quadrature.cache_info()
     assert (info.hits, info.misses) == (0, 1)
-    # defocus, threshold and steepness leave the lattice alone: one entry
+    # defocus, threshold and steepness leave the quadrature alone: one entry
     for cfg in (OpticsConfig(kernel_size=16, defocus_nm=50.0),
                 OpticsConfig(kernel_size=16, threshold=0.4),
                 OpticsConfig(kernel_size=16, sigmoid_steepness=5.0)):
         build_psf(cfg)
     info = _quadrature.cache_info()
     assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
-    # kernel size, pixel size and NA (through the cutoff) each miss
+    # kernel size, pixel size, wavelength and NA each miss
     for cfg in (OpticsConfig(kernel_size=17),
                 OpticsConfig(kernel_size=16, pixel_size_nm=7.3),
+                OpticsConfig(kernel_size=16, wavelength_nm=248.0),
                 OpticsConfig(kernel_size=16, numerical_aperture=0.3)):
         build_psf(cfg)
     info = _quadrature.cache_info()
-    assert (info.hits, info.misses) == (3, 4)
+    assert (info.hits, info.misses) == (3, 5)
 
 
 def test_quadrature_arrays_are_read_only():
-    f, ex = _quadrature(16, 5.0, 12)
-    assert f.shape == (25,) and ex.shape == (16, 25)
-    with pytest.raises(ValueError):
-        f[0] = 0.0
-    with pytest.raises(ValueError):
-        ex *= 2.0
+    # kernel 16 at 5 nm: df = 1/5120 per nm, so m = ceil(5120 * 0.85 / 193) = 23
+    disc, root, cosines = _quadrature(16, 5.0, 193.0, 0.85)
+    assert disc.shape == root.shape == (24, 24) and cosines.shape == (8, 24)
+    for a in (disc, root, cosines):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
 
 
 def test_convolve_impulse_is_identity():
