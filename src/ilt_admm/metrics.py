@@ -47,10 +47,10 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
 
     The mask must be real, finite and of the target's shape (GridError
     otherwise). Once checked, it is imaged by optics.convolve_cached: with
-    a complex (defocused) kernel its spectrum is reused from earlier calls
-    on the same mask, so a process window transforms each mask once rather
-    than once per focus setting. The report is that of optics.convolve bit
-    for bit.
+    a complex (defocused) kernel its spectrum comes from an LRU of the 16
+    latest masks, keyed by their bytes, so a process window of up to 16
+    masks transforms each once rather than once per focus setting. The
+    report is that of optics.convolve bit for bit.
     """
     target = as_binary(target)
     mask = np.asarray(mask)

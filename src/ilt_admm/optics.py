@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -201,12 +200,6 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     return PsfKernel(samples=h, config=cfg)
 
 
-# A kernel whose imaginary part has at most this share of its l1 norm is
-# real up to rounding (build_psf's is 0 at best focus and 0.11 at 10 nm
-# defocus) and convolves by real-input FFTs.
-REAL_KERNEL_RTOL = 1e-12
-
-
 class _ConvOperator:
     """Zero-padded linear convolution with a fixed kernel and input size,
     plus its exact adjoint (correlation with the conjugate kernel).
@@ -226,10 +219,15 @@ class _ConvOperator:
     it fills the Hermitian half of a real mask's spectrum its own way. The
     adjoint builds its conjugate spectrum and input buffers on first call.
 
+    A kernel is real when its imaginary part is exactly 0.0, as build_psf's
+    is at best focus; an imaginary part, however small, takes the complex
+    path and stays in the image.
+
     forward is spectrum (the mask's transform) followed by image (the
     kernel product and the pruned inverse), fused in place. image leaves
     the spectrum it is given untouched, so one spectrum can serve every
-    kernel on the same lattice (see convolve_cached).
+    kernel on the same lattice: convolve_cached takes a complex kernel's
+    from _mask_spectrum, which transforms as spectrum does.
     """
 
     def __init__(self, kernel: np.ndarray, n: int):
@@ -238,8 +236,7 @@ class _ConvOperator:
         self.k = k
         self.crop = (k - 1) // 2  # central-window offset into the full conv
         self.kernel = kernel
-        self.real = bool(np.abs(kernel.imag).sum()
-                         <= REAL_KERNEL_RTOL * np.abs(kernel).sum())
+        self.real = not kernel.imag.any()
         # wrap-around lands outside the central window; the kernel must fit.
         # Real transforms get a 5-smooth length: pocketfft's real FFTs take
         # any factor 7 through their slow generic radix.
@@ -324,61 +321,43 @@ def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     return kernel.op(u.shape[0]).forward(u)
 
 
-# The bytes convolve_cached may hold. At the production setting (144² field,
-# 196² complex lattice) one entry costs ~0.78 MB: the 614 KB spectrum plus
-# the 166 KB mask copy, so this holds 21. A process-window sweep cycles
-# through its masks once per focus setting, and an LRU smaller than that
-# cycle (12 masks) never hits.
-SPECTRUM_CACHE_BYTES = 16 * 2**20
+class _MaskKey:
+    """A mask as _mask_spectrum's key: its shape and its C-order bytes,
+    whatever its memory layout. Keys are equal only bit for bit, so -0.0
+    and 0.0 differ and a mask changed in place misses. They hash by the
+    sum of those bytes as float64, a fraction of the cost of hashing the
+    bytes, and equal keys sum alike."""
+
+    __slots__ = ("shape", "bits")
+
+    def __init__(self, u: np.ndarray):
+        self.shape = u.shape
+        self.bits = u.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return self.bits == other.bits and self.shape == other.shape
+
+    def __hash__(self) -> int:
+        return hash(float(np.frombuffer(self.bits).sum()))
 
 
-class _SpectrumCache:
-    """Least recently used mask spectra of complex-kernel operators, keyed
-    by lattice, field size and the mask's sum, within a byte budget.
-
-    A hit needs the mask bit for bit: the uint64 views are compared, since
-    -0.0 == 0.0 under ==. Each entry holds a C-contiguous copy of its mask
-    and the read-only spectrum transformed from that copy.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> (mask, spectrum)
-
-    def spectrum(self, op: _ConvOperator, u: np.ndarray) -> np.ndarray:
-        """op.spectrum(u) for a float64 n x n mask, from the cache when it
-        holds this mask."""
-        key = (op.shape, op.n, float(u.sum()))
-        entry = self._entries.get(key)
-        if entry is not None:
-            if np.array_equal(entry[0].view(np.uint64), u.view(np.uint64)):
-                self._entries.move_to_end(key)
-                return entry[1]
-            self._evict(key)  # a different mask with the same sum
-        mask = np.array(u, dtype=float, order="C")
-        u_hat = op.spectrum(mask)
-        u_hat.flags.writeable = False
-        size = mask.nbytes + u_hat.nbytes
-        if size <= self.budget:
-            while self.nbytes + size > self.budget:
-                self._evict(next(iter(self._entries)))
-            self._entries[key] = (mask, u_hat)
-            self.nbytes += size
-        return u_hat
-
-    def _evict(self, key) -> None:
-        mask, u_hat = self._entries.pop(key)
-        self.nbytes -= mask.nbytes + u_hat.nbytes
-
-
-_SPECTRA = _SpectrumCache(SPECTRUM_CACHE_BYTES)
+# A process-window sweep cycles through its masks once per focus setting,
+# and an LRU smaller than that cycle (12 masks) never hits. At the
+# production setting (144² field, 196² complex lattice) an entry holds
+# ~0.78 MB: the 614 KB spectrum and the 166 KB key.
+@functools.lru_cache(maxsize=16)
+def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
+    """The read-only fft2 of the float64 mask in key on the lattice shape,
+    as a complex-kernel _ConvOperator.spectrum takes it."""
+    u_hat = sfft.fft2(np.frombuffer(key.bits).reshape(key.shape), shape)
+    u_hat.flags.writeable = False
+    return u_hat
 
 
 def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     """convolve(kernel, u) bit for bit, for a mask the caller has checked:
     a real float64 n x n grid. A complex kernel takes the mask's spectrum
-    from a byte-bounded cache shared by every kernel on the same lattice,
+    from _mask_spectrum's LRU, shared by every kernel on the same lattice,
     so a mask imaged at many focus settings is transformed once. A real
     kernel convolves as convolve does: its half spectrum would evict the
     complex ones of a focus sweep at every pass.
@@ -386,7 +365,7 @@ def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     op = kernel.op(u.shape[0])
     if op.real:
         return op.forward(u)
-    return op.image(_SPECTRA.spectrum(op, u))
+    return op.image(_mask_spectrum(op.shape, _MaskKey(u)))
 
 
 def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:

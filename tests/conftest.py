@@ -18,18 +18,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def spectra(monkeypatch):
-    """An empty mask-spectrum cache in place of the process's one, and the
-    list of the mask transforms _ConvOperator takes while it is in place
-    (one shape per transform)."""
-    cache = optics._SpectrumCache(optics.SPECTRUM_CACHE_BYTES)
-    monkeypatch.setattr(optics, "_SPECTRA", cache)
-    transforms = []
-    spectrum = optics._ConvOperator.spectrum
-
-    def counted(op, u):
-        transforms.append(u.shape)
-        return spectrum(op, u)
-
-    monkeypatch.setattr(optics._ConvOperator, "spectrum", counted)
-    return cache, transforms
+def spectra():
+    """The mask-spectrum LRU, empty at the start of the test and emptied
+    again at its end; tests read its cache_info()."""
+    optics._mask_spectrum.cache_clear()
+    yield optics._mask_spectrum
+    optics._mask_spectrum.cache_clear()

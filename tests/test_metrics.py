@@ -96,7 +96,6 @@ def test_evaluate_rejects_bad_grids():
 def test_evaluate_reuses_mask_spectra_bit_for_bit(spectra):
     # a focus sweep's evaluate calls share one transform of each mask; cold
     # and warm, every report is the convolve chain's bit for bit
-    cache, transforms = spectra
     target = ten_rectangles(144)
     gray = np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
     for k in (100, 80):
@@ -106,7 +105,7 @@ def test_evaluate_reuses_mask_spectra_bit_for_bit(spectra):
             wants = [image_threshold(aerial_image(convolve(kernel, mask)),
                                      cfg.threshold) != target
                      for cfg, kernel in zip(cfgs, kernels)]
-            before = len(transforms)
+            before = spectra.cache_info()
             for _ in range(2):
                 for cfg, kernel, want in zip(cfgs, kernels, wants):
                     report = evaluate(mask, target, cfg, kernel=kernel)
@@ -114,4 +113,7 @@ def test_evaluate_reuses_mask_spectra_bit_for_bit(spectra):
                     assert report.epe.tobytes() == want.astype(float).tobytes()
                     assert report.nonzero_epe_pixels == count
                     assert report.error == np.sqrt(count)
-            assert len(transforms) - before == 2 + 1  # focus twice, defocus once
+            # two complex kernels, two passes: one transform, three reuses
+            after = spectra.cache_info()
+            assert after.misses - before.misses == 1
+            assert after.hits - before.hits == 3

@@ -402,13 +402,10 @@ def test_u_step_takes_no_complex_abs(monkeypatch):
     assert np.iscomplexobj(hu) and not np.array_equal(out, u0)
 
 
-def test_solver_never_looks_up_the_spectrum_cache(monkeypatch):
-    # the cache serves metrics.evaluate alone; a defocused solve must run
-    # with every lookup refused
-    def refuse(op, u):
-        raise AssertionError("the solver looked up a mask spectrum")
-
-    monkeypatch.setattr(optics._SPECTRA, "spectrum", refuse)
+def test_solver_never_looks_up_the_spectrum_cache():
+    # the cache serves metrics.evaluate alone; a defocused solve must leave
+    # its counts as they were
+    before = optics._mask_spectrum.cache_info()
     target = np.zeros((32, 32))
     target[8:24, 10:22] = 1.0
     oc = OpticsConfig(kernel_size=20, defocus_nm=10.0)
@@ -416,6 +413,7 @@ def test_solver_never_looks_up_the_spectrum_cache(monkeypatch):
     cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2, descent_max_iters=3)
     mask, records = admm_optimize(target, oc, cfg)
     assert len(records) == 2 and mask.shape == target.shape
+    assert optics._mask_spectrum.cache_info() == before
 
 
 def test_admm_is_deterministic():
