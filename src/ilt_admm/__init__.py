@@ -4,8 +4,7 @@ ADMM solver with total-variation and binarity regularization."""
 from .grids import inner, l2_norm, project_box
 from .metrics import EvaluationReport, epe_error, epe_map, evaluate
 from .optics import (OpticsConfig, PsfKernel, aerial_image, build_psf,
-                     build_pupil, convolve, cutoff_frequency, image_sigmoid,
-                     image_threshold)
+                     convolve, image_sigmoid, image_threshold)
 from .regularization import binarity_penalty, diff_forward, phi, shrink, tv_norm
 from .solver import (ConvergenceRecord, SolverConfig, admm_optimize,
                      augmented_lagrangian, check_rho_condition, dual_update,

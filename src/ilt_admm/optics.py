@@ -63,30 +63,6 @@ class OpticsConfig:
             raise ValueError("resist threshold must lie in (0, 1)")
 
 
-def cutoff_frequency(cfg: OpticsConfig) -> float:
-    """Lens cutoff frequency NA/lambda in 1/nm; defocus plays no role."""
-    return cfg.numerical_aperture / cfg.wavelength_nm
-
-
-def build_pupil(cfg: OpticsConfig, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Sample the pupil transfer function on a frequency lattice.
-
-    Inside the cutoff disc the pupil is exp(-i 2pi/lambda * W(f,g)) with the
-    defocus aberration W = D*sqrt(1 - (f^2+g^2) lambda^2); outside it is 0.
-    With zero defocus this is the plain 0/1 circular low-pass.
-    """
-    fx = np.asarray(fx, dtype=float)
-    fy = np.asarray(fy, dtype=float)
-    f2 = fx * fx + fy * fy
-    inside = np.sqrt(f2) <= cutoff_frequency(cfg)
-    # inside the cutoff, (f^2+g^2) lambda^2 <= NA^2 < 1
-    lam = cfg.wavelength_nm
-    w = cfg.defocus_nm * np.sqrt(np.clip(1.0 - f2 * lam * lam, 0.0, None))
-    # the complex exp only inside the disc; the zeros stand outside it
-    return np.exp(-1j * (2.0 * np.pi / lam) * w, where=inside,
-                  out=np.zeros(inside.shape, dtype=complex))
-
-
 @dataclass
 class PsfKernel:
     """Spatial convolution kernel with its optics metadata.
@@ -149,7 +125,10 @@ def _quadrature(kernel_size: int, pixel_size_nm: float, wavelength_nm: float,
 def build_psf(cfg: OpticsConfig) -> PsfKernel:
     """Inverse-transform the sampled pupil into a normalized spatial kernel.
 
-    The pupil (see build_pupil) is sampled on a symmetric lattice with step
+    The pupil is exp(-i 2pi/lambda * D * sqrt(1 - lambda^2 (f^2 + g^2)))
+    inside the cutoff disc sqrt(f^2 + g^2) <= NA/lambda, with D the defocus,
+    and 0 outside it; at best focus it is the plain 0/1 circular low-pass.
+    It is sampled on a symmetric lattice with step
     df = 1/(PUPIL_OVERSAMPLE * kernel_size * pixel_size) and inverse-
     transformed by a direct quadrature sum onto the kernel pixels, centered
     so the peak sits at the kernel center; the result is scaled to unit DC

@@ -1,10 +1,11 @@
-"""Bundled target-pattern generators: rectangles, strips, and a mixed
-layout. These reproduce the experiment families as parameterized code;
-they are approximations of the published figures, not pixel-exact copies.
+"""Bundled target-pattern generators: two bars, strips, and a mixed
+layout. These reproduce the experiment families as code: each feature's
+size in pixels is fixed, and only its place moves with the field size n.
+They are approximations of the published figures, not pixel-exact copies.
 
-Feature pitches are kept above the coherent resolution limit of the
-production optics (lambda/NA = 227nm, about 45 pixels at 5nm), so every
-bundled pattern is printable: separations below that pitch cannot be
+At n = 144, feature pitches are kept above the coherent resolution limit
+of the production optics (lambda/NA = 227nm, about 45 pixels at 5nm), so
+every bundled pattern is printable: separations below that pitch cannot be
 resolved by any mask, since the corresponding spatial frequencies fall
 outside the pupil.
 """
@@ -14,74 +15,58 @@ from __future__ import annotations
 import numpy as np
 
 
-def rectangles(n: int = 144, rows: int = 1, cols: int = 2,
-               width: int = 20, height: int = 140) -> np.ndarray:
-    """rows x cols lattice of width x height rectangles centered in equal
-    cells of an n x n field."""
-    if n <= 0 or rows <= 0 or cols <= 0:
-        raise ValueError("pattern dimensions must be positive")
-    if width > n // cols or height > n // rows:
-        raise ValueError("rectangles do not fit their cells")
+def _paint(n: int, boxes: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """An n x n field, 1.0 on each box (i0, i1, j0, j1) = rows i0:i1,
+    columns j0:j1, and 0.0 elsewhere.
+
+    Raises ValueError unless every box is non-empty and inside the field,
+    and every two boxes have a free row or column between them, so the
+    pattern has one feature per box at any n it accepts.
+    """
+    for i0, i1, j0, j1 in boxes:
+        if not (0 <= i0 < i1 <= n and 0 <= j0 < j1 <= n):
+            raise ValueError(f"the pattern does not fit a {n} x {n} field")
+    for a, (i0, i1, j0, j1) in enumerate(boxes):
+        for k0, k1, l0, l1 in boxes[a + 1:]:
+            if not (i1 < k0 or k1 < i0 or j1 < l0 or l1 < j0):
+                raise ValueError(f"the pattern's features touch in a {n} x {n} field")
     out = np.zeros((n, n))
-    for r in range(rows):
-        for c in range(cols):
-            ci = int((r + 0.5) * n / rows)
-            cj = int((c + 0.5) * n / cols)
-            i0, j0 = ci - height // 2, cj - width // 2
-            out[i0:i0 + height, j0:j0 + width] = 1.0
+    for i0, i1, j0, j1 in boxes:
+        out[i0:i1, j0:j1] = 1.0
     return out
 
 
-def ten_rectangles(n: int = 144, width: int = 20, margin: int = 2,
-                   rows: int = 5, cols: int = 2) -> np.ndarray:
+def ten_rectangles(n: int = 144) -> np.ndarray:
     """The ten-rectangle target: two columns of five vertically abutting
-    rectangles, forming two long bars.
+    20-pixel-wide rectangles, which form two bars 2 pixels short of the
+    field's top and bottom edges. The smallest field is n = 42.
 
     The columns sit half a field apart (resolvable); the rectangles within
     a column share edges, so the union prints as a continuous bar whose
     width bias and line-end rounding are what optimization corrects.
     """
-    if width <= 0 or margin < 0:
-        raise ValueError("pattern dimensions must be positive")
-    if 2 * margin >= n or width > n // cols:
-        raise ValueError("rectangles do not fit the field")
-    out = np.zeros((n, n))
-    span = n - 2 * margin
-    edges = [margin + round(r * span / rows) for r in range(rows + 1)]
-    for c in range(cols):
-        cj = int((c + 0.5) * n / cols)
-        j0 = cj - width // 2
-        for r in range(rows):
-            out[edges[r]:edges[r + 1], j0:j0 + width] = 1.0
-    return out
+    width, margin = 20, 2
+    return _paint(n, [(margin, n - margin, cj - width // 2, cj + width // 2)
+                      for cj in (int(0.25 * n), int(0.75 * n))])
 
 
-def strips(n: int = 144, count: int = 3, width: int = 16,
-           margin: int = 16) -> np.ndarray:
-    """count long vertical strips of the given width, spanning the field
-    height minus the margin."""
-    if count <= 0 or width <= 0:
-        raise ValueError("strip dimensions must be positive")
-    if count * width > n:
-        raise ValueError("strips do not fit")
-    out = np.zeros((n, n))
-    for c in range(count):
-        cj = int((c + 0.5) * n / count)
-        j0 = cj - width // 2
-        out[margin:n - margin, j0:j0 + width] = 1.0
-    return out
+def strips(n: int = 144) -> np.ndarray:
+    """Three long vertical strips, 16 pixels wide, centered in thirds of
+    the field and 16 pixels short of its top and bottom edges. The
+    smallest field is n = 51."""
+    width, margin = 16, 16
+    return _paint(n, [(margin, n - margin, cj - width // 2, cj + width // 2)
+                      for cj in (int((c + 0.5) * n / 3) for c in range(3))])
 
 
 def mixed(n: int = 144) -> np.ndarray:
-    """Two squares on the left half, one long strip on the right half."""
-    out = np.zeros((n, n))
-    s = 32
-    for ci in (int(0.25 * n), int(0.75 * n)):
-        cj = n // 4
-        out[ci - s // 2:ci + s // 2, cj - s // 2:cj + s // 2] = 1.0
-    j0 = 3 * n // 4 - 10
-    out[8:n - 8, j0:j0 + 20] = 1.0
-    return out
+    """Two 32-pixel squares on the left half, one 20-pixel-wide strip,
+    8 pixels short of the field's top and bottom edges, on the right half.
+    The smallest field is n = 66."""
+    s, cj, j0 = 32, n // 4, 3 * n // 4 - 10
+    squares = [(ci - s // 2, ci + s // 2, cj - s // 2, cj + s // 2)
+               for ci in (int(0.25 * n), int(0.75 * n))]
+    return _paint(n, squares + [(8, n - 8, j0, j0 + 20)])
 
 
 GENERATORS = {

@@ -10,7 +10,6 @@ from ilt_admm.cli import _UsageError, build_parser, run_cli
 from ilt_admm.pgmio import (PatternFormatError, load_config, load_mask,
                             load_pattern, save_grid, write_history)
 from ilt_admm.solver import ConvergenceRecord
-from ilt_admm.targets import ten_rectangles
 
 RNG = np.random.default_rng(41)
 
@@ -65,7 +64,8 @@ def test_text_pattern_diagnostics(tmp_path):
 
 def test_text_pattern_reads_save_grid_text_output(tmp_path):
     p = tmp_path / "t.txt"
-    pattern = ten_rectangles(16, width=4, margin=1)
+    pattern = np.zeros((16, 16))
+    pattern[1:15, 2:6] = pattern[1:15, 10:14] = 1.0
     save_grid(pattern, p, mode="text")
     assert np.array_equal(load_pattern(p), pattern)
 
@@ -177,7 +177,10 @@ def test_load_config(tmp_path):
 
 def small_target(tmp_path):
     p = tmp_path / "target.pgm"
-    save_grid(ten_rectangles(48, width=10, margin=2), p, mode="binary")
+    # two 10-pixel-wide bars, a scaled-down ten_rectangles
+    pattern = np.zeros((48, 48))
+    pattern[2:46, 7:17] = pattern[2:46, 31:41] = 1.0
+    save_grid(pattern, p, mode="binary")
     return p
 
 

@@ -7,23 +7,15 @@ from scipy import fft as sfft
 
 from ilt_admm.grids import GridError
 from ilt_admm.optics import (OpticsConfig, PsfKernel, _MaskKey, _quadrature,
-                             aerial_image, build_psf, build_pupil, convolve,
-                             convolve_adjoint, convolve_cached,
-                             cutoff_frequency, image_sigmoid, image_threshold)
+                             aerial_image, build_psf, convolve,
+                             convolve_adjoint, convolve_cached, image_sigmoid,
+                             image_threshold)
 from ilt_admm.targets import ten_rectangles
 from oracles import bessel_j1, convolve_naive, psf_full_quadrature
 
 RNG = np.random.default_rng(7)
 
 PRODUCTION = OpticsConfig()  # 193nm, NA 0.85, 5nm pixels, 100px kernel
-
-
-def test_cutoff_frequency():
-    assert cutoff_frequency(PRODUCTION) == pytest.approx(0.85 / 193.0)
-    assert cutoff_frequency(OpticsConfig(wavelength_nm=1.0,
-                                         numerical_aperture=0.5)) == 0.5
-    defocused = OpticsConfig(defocus_nm=50.0)
-    assert cutoff_frequency(defocused) == cutoff_frequency(PRODUCTION)
 
 
 def test_config_validation():
@@ -38,21 +30,6 @@ def test_config_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 OpticsConfig(**{name: bad})
-
-
-def test_pupil_inside_and_outside_cutoff():
-    fcut = cutoff_frequency(PRODUCTION)
-    inside = build_pupil(PRODUCTION, np.array(0.5 * fcut), np.array(0.0))
-    assert inside == pytest.approx(1.0 + 0.0j)
-    outside = build_pupil(OpticsConfig(defocus_nm=30.0),
-                          np.array(1.5 * fcut), np.array(0.0))
-    assert outside == 0.0
-
-
-def test_pupil_defocus_phase_at_center():
-    cfg = OpticsConfig(defocus_nm=50.0)
-    got = build_pupil(cfg, np.array(0.0), np.array(0.0))
-    assert got == pytest.approx(np.exp(-1j * 2 * np.pi * 50.0 / 193.0))
 
 
 def test_psf_zero_defocus_real_and_symmetric():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from ilt_admm.targets import GENERATORS, mixed, rectangles, strips, ten_rectangles
+from ilt_admm.targets import GENERATORS, mixed, strips, ten_rectangles
 
 
 def test_ten_rectangles_shape_and_content():
@@ -22,33 +23,38 @@ def test_ten_rectangles_two_columns():
     assert np.count_nonzero(gaps > 1) == 1
 
 
-def test_ten_rectangles_validation():
-    with pytest.raises(ValueError):
-        ten_rectangles(width=0)
-    with pytest.raises(ValueError):
-        ten_rectangles(n=20, width=16, cols=2)
-
-
-def test_rectangles_lattice():
-    t = rectangles(64, rows=2, cols=2, width=10, height=12)
-    assert t.sum() == 4 * 10 * 12
-    with pytest.raises(ValueError):
-        rectangles(64, rows=1, cols=1, width=100, height=10)
-    with pytest.raises(ValueError):
-        rectangles(0)
-
-
 def test_strips_geometry():
-    t = strips(144, count=3, width=16, margin=16)
+    t = strips(144)
     assert t.sum() == 3 * 16 * (144 - 32)
-    with pytest.raises(ValueError):
-        strips(64, count=5, width=20)
 
 
 def test_mixed_has_three_features():
     t = mixed()
     assert t.shape == (144, 144)
     assert t.sum() == 2 * 32 * 32 + 20 * 128
+
+
+# each generator's 4-connected feature count and smallest intact field
+LAYOUTS = {"ten_rectangles": (2, 42), "strips": (3, 51), "mixed": (3, 66)}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generator_rejects_fields_that_break_its_layout(name):
+    # every field size either raises or keeps the layout intact: a 0/1
+    # pattern with as many features as at n = 144. The sizes that raise
+    # are exactly those below the smallest intact field.
+    features, smallest = LAYOUTS[name]
+    gen = GENERATORS[name]
+    assert ndimage.label(gen(144))[1] == features
+    for n in range(1, 200):
+        if n < smallest:
+            with pytest.raises(ValueError):
+                gen(n)
+            continue
+        out = gen(n)
+        assert out.shape == (n, n), n
+        assert set(np.unique(out)) == {0.0, 1.0}, n
+        assert ndimage.label(out)[1] == features, n
 
 
 def test_generator_registry():
