@@ -26,8 +26,7 @@ from . import targets
 from .grids import l2_norm
 from .metrics import EvaluationReport, epe_map, evaluate
 from .optics import OpticsConfig, PsfKernel, aerial_image, build_psf, convolve, image_threshold
-from .pgmio import (PatternFormatError, load_config, load_mask, load_pattern,
-                    save_grid, write_history)
+from .pgmio import load_config, load_mask, load_pattern, save_grid, write_history
 from .solver import SolverConfig, admm_optimize, lagrangian_trace_check
 
 # Every run setting as (flag, type); a config-file value is typed by its
@@ -122,15 +121,17 @@ def cmd_psf(args) -> int:
 def cmd_simulate(args) -> int:
     oc, _ = _settings(args)
     mask = load_mask(args.mask)
+    target = _load_target(args.target) if args.target else None
     kernel = build_psf(oc)
     v = convolve(kernel, mask)
     ia = aerial_image(v)
     printed = image_threshold(ia, oc.threshold)
+    # every output is formed, so a bad target fails before any is written
+    epe = None if target is None else epe_map(printed, target)
     out = _outdir(args)
     save_grid(ia, out / "aerial.pgm", mode="continuous", comment="aerial image")
     save_grid(printed, out / "wafer.pgm", mode="binary")
-    if args.target:
-        epe = epe_map(printed, _load_target(args.target))
+    if epe is not None:
         save_grid(epe, out / "epe.pgm", mode="binary")
         print(f"epe_error={l2_norm(epe)!r} "
               f"nonzero_epe_pixels={np.count_nonzero(epe)}")
@@ -323,10 +324,8 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (PatternFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
+        # ValueError covers PatternFormatError and GridError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,8 @@ class GridError(ValueError):
 
 
 def as_grid(values, *, complex_ok: bool = False) -> np.ndarray:
-    """Validate a square 2-D grid and return it as a float or complex array.
+    """Validate a square 2-D grid and return it as a float64 or complex
+    array, the input itself when it already is one (no copy).
 
     Raises GridError on non-square shape or non-finite entries.
     """
@@ -27,7 +28,7 @@ def as_grid(values, *, complex_ok: bool = False) -> np.ndarray:
     else:
         if np.iscomplexobj(a):
             raise GridError("expected a real grid, got complex data")
-        a = a.astype(float)
+        a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise GridError(f"grid must be square 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics as _optics
-from .grids import GridError, as_binary, check_same_shape, l2_norm
+from .grids import as_binary, as_grid, check_same_shape, l2_norm
 from .optics import OpticsConfig, PsfKernel
 
 
@@ -53,13 +53,8 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     report is that of optics.convolve bit for bit.
     """
     target = as_binary(target)
-    mask = np.asarray(mask)
-    if np.iscomplexobj(mask):
-        raise GridError("mask must be real, got complex data")
-    mask = mask.astype(float, copy=False)
+    mask = as_grid(mask)
     check_same_shape(mask, target)
-    if not np.isfinite(mask).all():
-        raise GridError("mask contains non-finite values")
     if kernel is None:
         kernel = _optics.build_psf(optics_cfg)
     v = _optics.convolve_cached(kernel, mask)

@@ -212,7 +212,6 @@ class _ConvOperator:
     def __init__(self, kernel: np.ndarray, n: int):
         k = kernel.shape[0]
         self.n = n
-        self.k = k
         self.crop = (k - 1) // 2  # central-window offset into the full conv
         self.kernel = kernel
         self.real = not kernel.imag.any()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from pathlib import Path
 from typing import Callable
 
@@ -20,54 +21,25 @@ class PatternFormatError(ValueError):
     """Raised for unreadable or malformed pattern/mask files."""
 
 
-def _require_square(rows: list[list[float]], path) -> np.ndarray:
-    if not rows:
-        raise PatternFormatError(f"{path}: empty grid")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise PatternFormatError(
-                f"{path}: line {i + 1} has {len(row)} columns, expected {width}")
-    a = np.asarray(rows, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise PatternFormatError(
-            f"{path}: non-square grid {a.shape[0]}x{a.shape[1]}")
-    return a
+# magic, then width, height and maxval, each after whitespace or '#'
+# comments that run to the end of their line, then the single whitespace
+# before the pixels
+_PGM_HEADER = re.compile(rb"P([25])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def _parse_pgm(data: bytes, path: Path) -> np.ndarray:
     """Parse the bytes of a P2 (ASCII) or P5 (binary) PGM into a float
     array of raw pixel values scaled by maxval into [0, 1]."""
-    magic = data[:2]
-    # tokenize the header, skipping '#' comments
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3 and pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            pos = data.find(b"\n", pos)
-            if pos < 0:
-                raise PatternFormatError(f"{path}: unterminated comment")
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    if len(tokens) < 3:
-        raise PatternFormatError(f"{path}: truncated PGM header")
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise PatternFormatError(f"{path}: bad PGM header: {exc}") from exc
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise PatternFormatError(f"{path}: malformed PGM header")
+    width, height, maxval = (int(t) for t in header.groups()[1:])
+    pos = header.end()
     if width <= 0 or height <= 0:
         raise PatternFormatError(f"{path}: invalid PGM dimensions")
     if not 1 <= maxval <= 65535:
         raise PatternFormatError(f"{path}: PGM maxval {maxval} outside 1..65535")
-    if magic == b"P5":
-        pos += 1  # single whitespace after maxval
+    if header[1] == b"5":
         nbytes = width * height * (2 if maxval > 255 else 1)
         raw = data[pos:pos + nbytes]
         if len(raw) != nbytes:
@@ -89,10 +61,7 @@ def _parse_pgm(data: bytes, path: Path) -> np.ndarray:
         i = int(np.argmax(bad))
         raise PatternFormatError(f"{path}: pixel {i + 1}: expected 0..{maxval}, "
                                  f"got {float(pixels[i]):g}")
-    grid = pixels.reshape(height, width) / maxval
-    if width != height:
-        raise PatternFormatError(f"{path}: non-square grid {height}x{width}")
-    return grid
+    return pixels.reshape(height, width) / maxval
 
 
 def _binary_token(tok: str) -> float:
@@ -122,16 +91,10 @@ def _decode(data: bytes, path: Path) -> str:
                                  f"at byte {exc.start}") from None
 
 
-def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
-    """Read a square grid from a PGM file or a whitespace-separated text
-    grid ('#' starts a comment), each text token parsed by `token`.
-    Returns the grid and whether it came from a PGM."""
-    path = Path(path)
-    if not path.exists():
-        raise PatternFormatError(f"{path}: no such file")
-    data = path.read_bytes()
-    if data[:2] in (b"P2", b"P5"):
-        return _parse_pgm(data, path), True
+def _parse_text(data: bytes, path: Path,
+                token: Callable[[str], float]) -> np.ndarray:
+    """Parse a whitespace-separated text grid ('#' starts a comment), each
+    token parsed by `token`, into a float array of equal-length rows."""
     rows = []
     for lineno, line in enumerate(_decode(data, path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -144,8 +107,28 @@ def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
             except ValueError as exc:
                 raise PatternFormatError(
                     f"{path}: line {lineno}, token {col}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise PatternFormatError(f"{path}: line {lineno} has {len(row)} "
+                                     f"columns, expected {len(rows[0])}")
         rows.append(row)
-    return _require_square(rows, path), False
+    if not rows:
+        raise PatternFormatError(f"{path}: empty grid")
+    return np.asarray(rows, dtype=float)
+
+
+def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
+    """Read a square grid from a PGM file or a text grid whose tokens are
+    parsed by `token`. Returns the grid and whether it came from a PGM."""
+    path = Path(path)
+    if not path.exists():
+        raise PatternFormatError(f"{path}: no such file")
+    data = path.read_bytes()
+    pgm = data[:2] in (b"P2", b"P5")
+    grid = _parse_pgm(data, path) if pgm else _parse_text(data, path, token)
+    if grid.shape[0] != grid.shape[1]:
+        raise PatternFormatError(
+            f"{path}: non-square grid {grid.shape[0]}x{grid.shape[1]}")
+    return grid, pgm
 
 
 def load_pattern(path) -> np.ndarray:

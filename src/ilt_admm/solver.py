@@ -100,28 +100,14 @@ def estimate_lipschitz(a: float, tr: float, samples: int = 1_000_000) -> float:
 
     Each entry of grad_h is a scalar map of its own v, so the Hessian is
     diagonal; we densely sample |second derivative| of the per-entry misfit
-    over v in [0, 3] for both target values, refine around the maximum,
-    and pad the sampled max by 1%.
+    over v in [0, 3] for both target values and pad the sampled max by 1%.
     """
     if a <= 0:
         raise ValueError("steepness must be positive")
-    vmax = 3.0
-
-    def second_derivative_max(v: np.ndarray) -> tuple[float, float]:
-        best, best_v = 0.0, 0.0
-        for target in (0.0, 1.0):
-            d2 = np.abs(np.gradient(grad_h(v, target, a, tr), v))
-            i = int(np.argmax(d2))
-            if d2[i] > best:
-                best, best_v = float(d2[i]), float(v[i])
-        return best, best_v
-
-    v = np.linspace(0.0, vmax, samples)
-    coarse, v_star = second_derivative_max(v)
-    dv = vmax / samples
-    lo, hi = max(0.0, v_star - 5 * dv), v_star + 5 * dv
-    fine, _ = second_derivative_max(np.linspace(lo, hi, 100_001))
-    return 1.01 * max(coarse, fine)
+    v = np.linspace(0.0, 3.0, samples)
+    d2 = max(np.abs(np.gradient(grad_h(v, target, a, tr), v)).max()
+             for target in (0.0, 1.0))
+    return 1.01 * float(d2)
 
 
 def check_rho_condition(rho: float, l_h: float) -> bool:
@@ -285,7 +271,7 @@ def v_subproblem(w: np.ndarray, target: np.ndarray, rho: float,
     target = np.asarray(target, dtype=float)
     root = np.sqrt(tr)
     absw = np.abs(w)
-    printed = (absw ** 2 >= tr).astype(float)
+    printed = _optics.image_threshold(absw ** 2, tr)
     match = printed == target
     move_cost = 0.5 * rho * (absw - root) ** 2
     keep = match | (move_cost > 1.0)

@@ -50,6 +50,13 @@ def test_as_grid_rejects_bad_input():
         as_grid(np.array([[1.0, np.inf], [0.0, 0.0]]))
 
 
+def test_as_grid_returns_float64_grid_itself():
+    a = np.arange(9.0).reshape(3, 3)
+    assert as_grid(a) is a
+    b = as_grid(np.eye(3, dtype=int))
+    assert b.dtype == np.float64 and np.array_equal(b, np.eye(3))
+
+
 def test_as_binary_rejects_non_binary():
     as_binary(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(GridError):

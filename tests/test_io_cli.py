@@ -53,6 +53,10 @@ def test_text_pattern_diagnostics(tmp_path):
     p.write_text("0 1 0\n1 0 1\n")
     with pytest.raises(PatternFormatError, match="non-square"):
         load_pattern(p)
+    # a ragged row is named by its line in the file
+    p.write_text("# two rows\n0 1\n\n1\n")
+    with pytest.raises(PatternFormatError, match="line 4 has 1 columns, expected 2"):
+        load_pattern(p)
     with pytest.raises(PatternFormatError, match="no such file"):
         load_pattern(tmp_path / "missing.txt")
     # a UTF-16 byte-order mark is neither a PGM nor a UTF-8 text grid
@@ -120,6 +124,26 @@ def test_pgm_rejects_malformed(tmp_path):
         p.write_bytes(b"P5\n1 1\n" + maxval + b"\n" + bytes(4))
         with pytest.raises(PatternFormatError, match="maxval .* outside 1..65535"):
             load_mask(p)
+
+
+def test_pgm_header_grammar(tmp_path):
+    p = tmp_path / "h.pgm"
+    pixels = bytes([0, 255, 255, 0])
+    # a comment may follow the magic or any header token, and tab and CR
+    # separate tokens as a space does
+    for header in (b"P5# c\n2 2\n255\n", b"P5\n2#w\n2\n255\n",
+                   b"P5\t2\r2\r\n255\r"):
+        p.write_bytes(header + pixels)
+        assert np.array_equal(load_pattern(p), [[0.0, 1.0], [1.0, 0.0]]), header
+    for bad in (b"P5\n2 2 # open",          # unterminated comment
+                b"P5\n2 2\n255",           # maxval at the end of the file
+                b"P5\n2 2\n" + pixels,     # no maxval
+                b"P5\n2 x\n255\n" + pixels,
+                b"P52 2\n255\n" + pixels,  # width glued to the magic
+                b"P5\n+2 2\n255\n" + pixels):
+        p.write_bytes(bad)
+        with pytest.raises(PatternFormatError, match="h.pgm: malformed PGM header"):
+            load_pattern(p)
 
 
 def test_mask_text_full_precision_roundtrip(tmp_path):
@@ -207,6 +231,17 @@ def test_cli_usage_error_exit_code(tmp_path):
 def test_cli_missing_file_exit_code(tmp_path):
     assert run_cli(["evaluate", "--mask", str(tmp_path / "nope"),
                     "--target", "ten_rectangles"]) == 2
+
+
+def test_cli_simulate_bad_target_writes_nothing(tmp_path):
+    mask = str(small_target(tmp_path))
+    small = tmp_path / "small.txt"
+    save_grid(np.zeros((40, 40)), small, mode="text")
+    for target in (tmp_path / "missing.txt", small):
+        out = tmp_path / "sim"
+        assert run_cli(["simulate", "--mask", mask, "--target", str(target),
+                        "--kernel-size", "20", "--output-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cli_non_finite_mask_exit_code(tmp_path, capsys):
