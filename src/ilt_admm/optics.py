@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,6 +31,21 @@ from .grids import GridError, as_grid
 PUPIL_OVERSAMPLE = 64
 
 
+def check_settings(config) -> None:
+    """Check a settings dataclass's fields: those annotated int must be
+    integers (numpy's too, but not bool), and every field finite. Raises
+    ValueError naming the field. nan passes every comparison, so callers
+    run this before their range checks."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        integral = (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool))
+        if f.type == "int" and not integral:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class OpticsConfig:
     """Projection-system parameters. Defaults are the production setting:
@@ -44,11 +60,7 @@ class OpticsConfig:
     threshold: float = 0.3
 
     def __post_init__(self):
-        # nan passes every comparison below, so finiteness comes first
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_settings(self)
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength must be positive")
         if not 0.0 < self.numerical_aperture < 1.0:
@@ -139,9 +151,15 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     C[a, 0] = 1 and C[a, j] = 2 cos(2 pi x_a f_j), from _quadrature's cache.
     At best focus Q is the real 0/1 disc; under defocus it is the stacked
     real pair cos(t), -sin(t) of the phase t = 2 pi / lambda * D * root.
-    Two einsum passes contract it, so no BLAS routine runs and the kernel's
-    bytes do not depend on the BLAS thread count. Several identities hold
-    exactly, not just up to rounding:
+    Under defocus two einsum passes contract it. At best focus the first
+    pass, C Q, is a lookup: disc column l is 1.0 on its first counts[l]
+    rows and 0.0 below, so column l of C Q is the running sum of C's first
+    counts[l] columns, which np.cumsum adds in j order from +0.0 as einsum
+    does, bit for bit (0.0 * c never moves a partial sum). The lookup is
+    made C-contiguous, since the second einsum's rounding follows its
+    operands' layout. No BLAS routine runs, so the kernel's bytes do not
+    depend on the BLAS thread count. Several identities hold exactly, not
+    just up to rounding:
 
     - Mirror symmetry. The pixel grid x is exactly odd (x_{k-1-a} is the
       negation of x_a), so only the first ceil(k/2) rows and columns are
@@ -156,7 +174,12 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
                                       cfg.numerical_aperture)
     d = cfg.defocus_nm
     if d == 0.0:
-        q = disc
+        # f_j^2 + f_l^2 grows with j, so disc column l is 1.0 on rows
+        # j < counts[l]: C Q is a prefix sum of C, read at counts
+        counts = np.count_nonzero(disc, axis=0)
+        prefix = np.zeros((cosines.shape[0], cosines.shape[1] + 1))
+        np.cumsum(cosines, axis=1, out=prefix[:, 1:])
+        rows = np.ascontiguousarray(prefix[:, counts])
     else:
         t = (2.0 * np.pi / cfg.wavelength_nm) * (abs(d) * root)
         q = np.empty((2,) + t.shape)
@@ -165,8 +188,8 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
         np.sin(t, out=q[1])
         if d > 0.0:  # exp(-i t) for D > 0, exp(+i t) for D < 0
             np.negative(q[1], out=q[1])
-    # optimize=False keeps einsum's own loops: no tensordot, so no BLAS
-    rows = np.einsum("aj,...jl->...al", cosines, q, optimize=False)
+        # optimize=False keeps einsum's own loops: no tensordot, so no BLAS
+        rows = np.einsum("aj,...jl->...al", cosines, q, optimize=False)
     corner = np.einsum("...al,bl->...ab", rows, cosines, optimize=False)
     half = cosines.shape[0]  # ceil(k / 2)
     rest = k - half

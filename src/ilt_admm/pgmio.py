@@ -47,16 +47,18 @@ def _parse_pgm(data: bytes, path: Path) -> np.ndarray:
         dtype = ">u2" if maxval > 255 else "u1"
         pixels = np.frombuffer(raw, dtype=dtype).astype(float)
     else:
-        try:
-            pixels = np.array(
-                [float(t) for t in data[pos:].split()], dtype=float)
-        except ValueError as exc:
-            raise PatternFormatError(f"{path}: bad P2 pixel token: {exc}") from exc
+        # samples are decimal integers, as the header's tokens are
+        tokens = data[pos:].split()
+        for i, t in enumerate(tokens):
+            if not t.isdigit():
+                raise PatternFormatError(
+                    f"{path}: pixel {i + 1}: expected 0..{maxval}, "
+                    f"got {t.decode('latin-1')!r}")
+        pixels = np.array([float(t) for t in tokens])
         if pixels.size != width * height:
             raise PatternFormatError(
                 f"{path}: expected {width * height} pixels, got {pixels.size}")
-    # nan fails both comparisons
-    bad = ~((pixels >= 0) & (pixels <= maxval))
+    bad = pixels > maxval
     if bad.any():
         i = int(np.argmax(bad))
         raise PatternFormatError(f"{path}: pixel {i + 1}: expected 0..{maxval}, "

@@ -9,8 +9,7 @@ residual, V increments) are monitored, not enforced.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,7 +17,8 @@ import numpy as np
 from . import optics as _optics
 from .grids import as_binary, inner, l2_norm, project_box
 from .metrics import epe_error
-from .optics import PsfKernel, convolve, convolve_adjoint, image_sigmoid
+from .optics import (PsfKernel, check_settings, convolve, convolve_adjoint,
+                     image_sigmoid)
 from .regularization import binarity_penalty, diff_adjoint, phi, shrink, tv_norm
 
 # Projected Armijo search of the U-step: sufficient-decrease factor in
@@ -45,11 +45,7 @@ class SolverConfig:
     descent_max_iters: int = 10
 
     def __post_init__(self):
-        # nan passes every comparison below, so finiteness comes first
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_settings(self)
         if self.rho <= 0 or self.gamma <= 0:
             raise ValueError("rho and gamma must be positive")
         if self.beta1 < 0 or self.beta2 < 0:

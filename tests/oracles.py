@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite. Deliberately slow
 and simple: double-loop convolution, dense 1-D search for the V-update,
 central-difference gradients, a PSF quadrature over the whole pupil
-lattice, and a power series Bessel J1. Nothing here imports the package
+lattice, the best-focus PSF by plain contractions of the folded
+quadrature, and a power series Bessel J1. Nothing here imports the package
 they check.
 """
 
@@ -153,6 +154,21 @@ def psf_full_quadrature(wavelength_nm: float, numerical_aperture: float,
     x = (np.arange(k) - (k - 1) / 2.0) * pixel_size_nm
     ex = np.exp(2j * np.pi * np.outer(x, f))
     h = ex @ pupil @ ex.T
+    return h / h.sum()
+
+
+def psf_focus_einsum(cosines: np.ndarray, disc: np.ndarray,
+                     kernel_size: int) -> np.ndarray:
+    """The normalized best-focus PSF by two plain contractions of the
+    folded quadrature, h = C Q C^T on the first ceil(k/2) pixels, mirrored
+    into k x k: C is the cosine table and Q the 0/1 pupil quadrant. einsum
+    adds each sum over the pupil in order from +0.0, so this is the
+    reference for the kernel's bytes, not only its values."""
+    rows = np.einsum("aj,jl->al", cosines, disc, optimize=False)
+    corner = np.einsum("al,bl->ab", rows, cosines, optimize=False)
+    rest = kernel_size - corner.shape[0]
+    top = np.concatenate([corner, corner[:, :rest][:, ::-1]], axis=1)
+    h = np.concatenate([top, top[:rest][::-1]]).astype(complex)
     return h / h.sum()
 
 

@@ -146,6 +146,26 @@ def test_pgm_header_grammar(tmp_path):
             load_pattern(p)
 
 
+def test_pgm_p2_samples_are_decimal_integers(tmp_path, capsys):
+    # Netpbm's plain samples are decimal integers, as its header tokens
+    # are; any other number form is malformed, not scaled
+    p = tmp_path / "s.pgm"
+    target = str(small_target(tmp_path))
+    for tok in (b"127.5", b"1e2", b"1_0", b"+5", b"-0", b"0x1", b"1.",
+                b"\xd9\xa3"):  # the Arabic-Indic digit three
+        p.write_bytes(b"P2\n1 1\n255\n" + tok + b"\n")
+        for load in (load_pattern, load_mask):
+            with pytest.raises(PatternFormatError,
+                               match="s.pgm: pixel 1: expected 0..255"):
+                load(p)
+        assert run_cli(["evaluate", "--mask", str(p), "--target", target,
+                        "--kernel-size", "20"]) == 2, tok
+        assert str(p) in capsys.readouterr().err
+    # leading zeros are still decimal
+    p.write_bytes(b"P2\n1 1\n255\n0255\n")
+    assert np.array_equal(load_mask(p), [[1.0]])
+
+
 def test_mask_text_full_precision_roundtrip(tmp_path):
     p = tmp_path / "m.txt"
     mask = RNG.random((5, 5))

@@ -11,7 +11,8 @@ from ilt_admm.optics import (OpticsConfig, PsfKernel, _MaskKey, _quadrature,
                              convolve_adjoint, convolve_cached, image_sigmoid,
                              image_threshold)
 from ilt_admm.targets import ten_rectangles
-from oracles import bessel_j1, convolve_naive, psf_full_quadrature
+from oracles import (bessel_j1, convolve_naive, psf_focus_einsum,
+                     psf_full_quadrature)
 
 RNG = np.random.default_rng(7)
 
@@ -30,6 +31,14 @@ def test_config_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 OpticsConfig(**{name: bad})
+
+
+def test_config_kernel_size_must_be_an_integer():
+    # a float or bool kernel size would fail later, inside build_psf
+    for bad in (20.0, 20.5, True, float("nan"), "20"):
+        with pytest.raises(ValueError, match="kernel_size"):
+            OpticsConfig(kernel_size=bad)
+    assert build_psf(OpticsConfig(kernel_size=np.int64(7))).samples.shape == (7, 7)
 
 
 def test_psf_zero_defocus_real_and_symmetric():
@@ -97,6 +106,29 @@ def test_build_psf_equals_full_lattice_quadrature():
         cold.append(sha256(h))
     for cfg, want in zip(PSF_CASES, cold):
         assert sha256(build_psf(cfg).samples) == want, cfg
+
+
+def test_build_psf_at_focus_equals_einsum_contraction():
+    # At best focus build_psf sums the cosine table by running sums; the
+    # kernel must be the plain two-einsum contraction's bit for bit. The
+    # reference runs on this platform, not against a stored digest, since
+    # np.cos may round differently elsewhere. The cases: every focus case
+    # of PSF_CASES (odd and even kernels), and wide and narrow pupils on
+    # odd pixel sizes.
+    cases = [cfg for cfg in PSF_CASES if cfg.defocus_nm == 0.0]
+    cases += [OpticsConfig(numerical_aperture=na, pixel_size_nm=px, kernel_size=k)
+              for na, px in ((0.3, 7.3), (0.93, 2.0)) for k in (31, 64, 128)]
+    empty_columns = 0
+    for cfg in cases:
+        disc, _, cosines = _quadrature(cfg.kernel_size, cfg.pixel_size_nm,
+                                       cfg.wavelength_nm, cfg.numerical_aperture)
+        # a quadrant column past the cutoff holds no disc point
+        empty_columns += int((np.count_nonzero(disc, axis=0) == 0).sum())
+        want = psf_focus_einsum(cosines, disc, cfg.kernel_size)
+        got = build_psf(cfg).samples
+        assert got.tobytes() == want.tobytes(), cfg
+    assert empty_columns > 0
+    assert {cfg.kernel_size % 2 for cfg in cases} == {0, 1}
 
 
 def test_build_psf_symmetries_are_exact():

@@ -42,6 +42,16 @@ def test_solver_config_validation():
                 SolverConfig(**{name: bad})
 
 
+@pytest.mark.parametrize("name", ["outer_max_iters", "bregman_max_iters",
+                                  "descent_max_iters"])
+def test_solver_config_iteration_budget_must_be_an_integer(name):
+    # a float budget would fail later, in range()
+    for bad in (2.5, 3.0, True, float("nan")):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: bad})
+    assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
+
+
 def test_sigmoid_misfit_perfect_image():
     target = np.array([[1.0, 0.0]])
     # strongly exposed / strongly dark pixels: sigmoid saturates
