@@ -26,26 +26,27 @@ from . import targets
 from .grids import l2_norm
 from .metrics import EvaluationReport, epe_map, evaluate
 from .optics import OpticsConfig, PsfKernel, aerial_image, build_psf, convolve, image_threshold
-from .pgmio import load_config, load_mask, load_pattern, save_grid, write_history
+from .pgmio import (integer, load_config, load_mask, load_pattern, number,
+                    save_grid, write_history)
 from .solver import SolverConfig, admm_optimize, lagrangian_trace_check
 
-# Every run setting as (flag, type); a config-file value is typed by its
-# flag's type, and a key outside these tables is a usage error.
+# Every run setting as (flag, pgmio number type); a config-file value is
+# typed by its flag's type, and a key outside these tables is a usage error.
 _OPTICS_FLAGS = {
-    "wavelength_nm": ("--wavelength", float),
-    "numerical_aperture": ("--na", float),
-    "defocus_nm": ("--defocus", float),
-    "pixel_size_nm": ("--pixel-size", float),
-    "kernel_size": ("--kernel-size", int),
-    "sigmoid_steepness": ("--steepness", float),
-    "threshold": ("--threshold", float),
+    "wavelength_nm": ("--wavelength", number),
+    "numerical_aperture": ("--na", number),
+    "defocus_nm": ("--defocus", number),
+    "pixel_size_nm": ("--pixel-size", number),
+    "kernel_size": ("--kernel-size", integer),
+    "sigmoid_steepness": ("--steepness", number),
+    "threshold": ("--threshold", number),
 }
-_PENALTY_FLAGS = {name: ("--" + name, float)
+_PENALTY_FLAGS = {name: ("--" + name, number)
                   for name in ("rho", "gamma", "beta1", "beta2")}
 _BUDGET_FLAGS = {
-    "outer_max_iters": ("--outer-iters", int),
-    "bregman_max_iters": ("--bregman-iters", int),
-    "descent_max_iters": ("--descent-iters", int),
+    "outer_max_iters": ("--outer-iters", integer),
+    "bregman_max_iters": ("--bregman-iters", integer),
+    "descent_max_iters": ("--descent-iters", integer),
 }
 _SETTINGS = {**_OPTICS_FLAGS, **_PENALTY_FLAGS, **_BUDGET_FLAGS}
 
@@ -193,7 +194,7 @@ def _parse_list(flag: str, text: str) -> list[float]:
     """A comma-separated list of numbers; a malformed or empty list, or one
     that repeats a value, is a usage error that names its flag."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [number(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"--{flag}: {exc}") from None
     if not values:
@@ -266,7 +267,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--output-dir", default="out")
         if seed_help:
-            p.add_argument("--seed", type=int, default=0, help=seed_help)
+            p.add_argument("--seed", type=integer, default=0, help=seed_help)
         for table in tables:
             for name, (flag, kind) in table.items():
                 p.add_argument(flag, type=kind, dest=name)

@@ -66,10 +66,24 @@ def _parse_pgm(data: bytes, path: Path) -> np.ndarray:
     return pixels.reshape(height, width) / maxval
 
 
+def number(text: str, kind: type = float):
+    """Every number the program reads from text, bar the PGM format's
+    digit-only ones: ASCII only and no digit-group underscores, then
+    Python's `float` or `int`, so `nan` and `inf` still parse."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected an ASCII number without '_', got {text!r}")
+    return kind(text)
+
+
+def integer(text: str) -> int:
+    """An integer written as `number` reads it."""
+    return number(text, int)
+
+
 def _binary_token(tok: str) -> float:
-    """A target pixel: a token whose float value is exactly 0 or 1."""
+    """A target pixel: a token whose `number` value is exactly 0 or 1."""
     try:
-        value = float(tok)
+        value = number(tok)
     except ValueError:
         value = None
     if value not in (0.0, 1.0):
@@ -78,8 +92,8 @@ def _binary_token(tok: str) -> float:
 
 
 def _finite_token(tok: str) -> float:
-    """A mask pixel: any finite float."""
-    value = float(tok)
+    """A mask pixel: any finite `number`."""
+    value = number(tok)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {tok!r}")
     return value
@@ -136,7 +150,7 @@ def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
 def load_pattern(path) -> np.ndarray:
     """Load a binary target pattern from a 0/1 text grid or a PGM file.
 
-    A text token is accepted when its float value is exactly 0 or 1, so
+    A text token is accepted when its `number` value is exactly 0 or 1, so
     the "0.0"/"1.0" grids that save_grid writes in text mode read back.
     PGM pixels at or above half of maxval map to 1, the rest to 0.
     """
@@ -145,8 +159,8 @@ def load_pattern(path) -> np.ndarray:
 
 
 def load_mask(path) -> np.ndarray:
-    """Load a continuous mask: PGM values rescale by maxval, text grids
-    are parsed as raw floats, which must be finite."""
+    """Load a continuous mask: PGM values rescale by maxval, text grid
+    tokens are read by `number` and must be finite."""
     return _read_grid(path, _finite_token)[0]
 
 

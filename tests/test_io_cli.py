@@ -1,4 +1,5 @@
 import csv
+import re
 import shlex
 from pathlib import Path
 
@@ -164,6 +165,48 @@ def test_pgm_p2_samples_are_decimal_integers(tmp_path, capsys):
     # leading zeros are still decimal
     p.write_bytes(b"P2\n1 1\n255\n0255\n")
     assert np.array_equal(load_mask(p), [[1.0]])
+
+
+# a number the program reads itself is ASCII without digit-group
+# underscores: float() alone reads 1_0 as 10 and the Arabic-Indic digits
+# one, three and five as 1, 3 and 5
+@pytest.mark.parametrize("load, bad", [
+    (load_mask, "1_0"), (load_mask, "\u0663"),
+    (load_pattern, "0_1"), (load_pattern, "\u0661")],
+    ids=["mask-underscore", "mask-arabic3", "pattern-underscore",
+         "pattern-arabic1"])
+def test_text_grid_numbers_are_plain_ascii(tmp_path, load, bad):
+    p = tmp_path / "g.txt"
+    p.write_text(f"0 1\n{bad} 0\n", encoding="utf-8")
+    with pytest.raises(PatternFormatError,
+                       match=f"g.txt: line 2, token 1: .*'{bad}'"):
+        load(p)
+
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0663"], ids=["underscore", "arabic3"])
+def test_cli_evaluate_mask_numbers_are_plain_ascii(tmp_path, capsys, bad):
+    mask = tmp_path / "m.txt"
+    grid = [["0"] * 48 for _ in range(48)]
+    grid[3][7] = bad
+    mask.write_text("\n".join(" ".join(row) for row in grid) + "\n",
+                    encoding="utf-8")
+    assert run_cli(["evaluate", "--mask", str(mask), "--target",
+                    str(small_target(tmp_path)), "--kernel-size", "20"]) == 2
+    captured = capsys.readouterr()
+    assert f"{mask}: line 4, token 8" in captured.err
+    assert captured.out == ""
+
+
+def test_text_grid_reads_every_form_save_grid_writes(tmp_path):
+    p = tmp_path / "g.txt"
+    grid = np.array([[1e-300, -0.0, 1e22], [2.5e-07, -1.0, 123456.789],
+                     [0.0, 1.0, -3.4e+38]])
+    save_grid(grid, p, mode="text")
+    loaded = load_mask(p)
+    assert np.array_equal(loaded, grid)
+    assert np.array_equal(np.signbit(loaded), np.signbit(grid))
+    save_grid((grid > 0).astype(float), p, mode="text")
+    assert np.array_equal(load_pattern(p), grid > 0)
 
 
 def test_mask_text_full_precision_roundtrip(tmp_path):
@@ -380,6 +423,43 @@ def test_cli_out_of_range_setting_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line", ["kernel_size=2_0", "rho=\u0661"],
+                         ids=["kernel_size-underscore", "rho-arabic1"])
+def test_cli_config_numbers_are_plain_ascii(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli(["optimize", "--target", str(small_target(tmp_path)),
+                    "--config", str(cfg), "--outer-iters", "1", "--quiet",
+                    "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{cfg}: {line.split('=')[0]}:" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["psf", "--kernel-size", "2_0"],
+    ["optimize", "--rho", "\u0665", "--quiet"],
+    ["sweep", "--rho", "1_0,5"],
+    ["sweep", "--kernel-noise", "1_0e-3"],
+    ["sweep", "--rho", "5", "--seed", "1_0"]],
+    ids=["psf-kernel-size", "optimize-rho", "sweep-rho", "sweep-kernel-noise",
+         "sweep-seed"])
+def test_cli_flag_numbers_are_plain_ascii(tmp_path, capsys, argv):
+    # a small budget, so a run that wrongly parses stays short
+    if argv[0] != "psf":
+        argv = argv + ["--target", str(small_target(tmp_path)),
+                       "--kernel-size", "20", "--outer-iters", "1",
+                       "--bregman-iters", "1", "--descent-iters", "1"]
+    out = tmp_path / "o"
+    assert run_cli(argv + ["--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = readme.split("```")[1::2]
@@ -392,6 +472,12 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except _UsageError as exc:
             pytest.fail(f"{line!r}: {exc}")
+
+
+def test_readme_states_no_timings():
+    # measurements live in CHANGES.md and the BENCH_*.json files
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert re.search(r"\d ?(µs|ms)\b", readme) is None
 
 
 def test_cli_sweep(tmp_path):
