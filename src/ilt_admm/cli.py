@@ -191,14 +191,16 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_list(flag: str, text: str) -> list[float]:
-    """A comma-separated list of numbers; a malformed or empty list, or one
-    that repeats a value, is a usage error that names its flag."""
+    """A comma-separated list of numbers; a malformed list, one with an
+    empty item, or one that repeats a value, is a usage error that names
+    its flag."""
+    items = text.split(",")
+    if not all(tok.strip() for tok in items):
+        raise _UsageError(f"--{flag}: {text!r} has an empty item")
     try:
-        values = [number(tok) for tok in text.split(",") if tok.strip()]
+        values = [number(tok) for tok in items]
     except ValueError as exc:
         raise _UsageError(f"--{flag}: {exc}") from None
-    if not values:
-        raise _UsageError(f"--{flag}: no values in {text!r}")
     # each value tags its cell's history file by its :g form
     tags = [f"{v:g}" for v in values]
     for tag in tags:
@@ -227,9 +229,12 @@ def cmd_sweep(args) -> int:
     grid = [dict(zip(axes, values))
             for values in itertools.product(*axes.values())] if axes else []
     solver_cfgs = [_checked(dataclasses.replace, base, **cell) for cell in grid]
+    try:
+        rng = np.random.default_rng(args.seed)
+    except ValueError as exc:
+        raise _UsageError(f"--seed: {exc}") from None
     target = _load_target(args.target)
     out = _outdir(args)
-    rng = np.random.default_rng(args.seed)
     kernel = build_psf(oc)
     baseline = evaluate(target, target, oc, kernel=kernel).error
     print(f"baseline epe_error={baseline!r}")
@@ -314,13 +319,8 @@ def build_parser() -> _Parser:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

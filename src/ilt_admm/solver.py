@@ -98,8 +98,6 @@ def estimate_lipschitz(a: float, tr: float, samples: int = 1_000_000) -> float:
     diagonal; we densely sample |second derivative| of the per-entry misfit
     over v in [0, 3] for both target values and pad the sampled max by 1%.
     """
-    if a <= 0:
-        raise ValueError("steepness must be positive")
     v = np.linspace(0.0, 3.0, samples)
     d2 = max(np.abs(np.gradient(grad_h(v, target, a, tr), v)).max()
              for target in (0.0, 1.0))
@@ -126,19 +124,15 @@ def augmented_lagrangian(u: np.ndarray, hu: np.ndarray, v: np.ndarray,
             + 0.5 * cfg.rho * float(np.sum(np.abs(resid) ** 2)))
 
 
-def _bregman_objective(u: np.ndarray, hu: np.ndarray, w: np.ndarray,
-                       d: np.ndarray, b: np.ndarray, cfg: SolverConfig,
-                       phi_u: Optional[np.ndarray] = None,
+def _bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
+                       b: np.ndarray, cfg: SolverConfig, phi_u: np.ndarray,
                        ) -> tuple[float, np.ndarray, np.ndarray]:
-    """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2, returned with
-    the residual HU - W and the split gap d - Phi(U) - b so grad_F at U can
-    reuse them. Phi(U) is computed unless given as phi_u."""
+    """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2 from hu = HU and
+    phi_u = Phi(U), returned with the residual HU - W and the split gap
+    d - Phi(U) - b so grad_F at U can reuse them. The gap is formed in
+    phi_u's buffer."""
     resid = hu - w
-    if phi_u is None:
-        gap = phi(u, cfg.beta1, cfg.beta2)
-        np.subtract(d, gap, out=gap)
-    else:
-        gap = d - phi_u
+    gap = np.subtract(d, phi_u, out=phi_u)
     gap -= b
     f = _sum_squares(resid) + 0.5 * cfg.gamma * _sum_squares(gap)
     return f, resid, gap
@@ -159,13 +153,12 @@ def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
 
     2 Re{H^*(HU - W)} - gamma*beta1 D^T(gap[0], gap[1])
     + gamma*beta2 gap[2] (2U - 1), with gap = d - Phi(U) - b.
-    The residual resid = HU - W and gap are computed when not given.
+    The residual resid = HU - W and gap are computed unless both are given.
     """
-    if resid is None:
-        resid = convolve(kernel, u) - w
+    if resid is None or gap is None:
+        _, resid, gap = _bregman_objective(convolve(kernel, u), w, d, b, cfg,
+                                           phi(u, cfg.beta1, cfg.beta2))
     grad = 2.0 * convolve_adjoint(kernel, resid)
-    if gap is None:
-        gap = d - phi(u, cfg.beta1, cfg.beta2) - b
     # in place, but in the formula's operation order, so the rounding is
     # that of (data - tv) + (gamma*beta2 gap[2]) (2U - 1)
     tv = diff_adjoint(gap[0], gap[1])
@@ -197,20 +190,21 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     HU is the image already formed for it, not a new convolution.
     """
     u, hu = np.asarray(u_init, dtype=float), hu_init
-    d = phi_u = phi(u, cfg.beta1, cfg.beta2)  # phi_u: Phi at the current U
+    phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
+    d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
     b = np.zeros((3,) + u.shape)
 
-    def original_objective(uu: np.ndarray, huu: np.ndarray) -> float:
-        return (_sum_squares(huu - w)
+    def original_objective(uu: np.ndarray, resid: np.ndarray) -> float:
+        return (_sum_squares(resid)
                 + cfg.beta1 * tv_norm(uu) + cfg.beta2 * binarity_penalty(uu))
 
-    best_u, best_hu, best_val = u, hu, original_objective(u, hu)
+    best_u, best_hu, best_val = u, hu, original_objective(u, hu - w)
     move = np.empty_like(u)  # scratch for each Armijo trial's move
 
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an
         # accepted trial carries its own into the next descent step
-        f0, resid, gap = _bregman_objective(u, hu, w, d, b, cfg, phi_u)
+        f0, resid, gap = _bregman_objective(hu, w, d, b, cfg, phi_u)
         for _ in range(cfg.descent_max_iters):
             g = grad_F(u, w, d, b, cfg, kernel, resid=resid, gap=gap)
             t = ARMIJO_T0
@@ -226,7 +220,8 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(kernel, u_t)
-                f_t, resid_t, gap_t = _bregman_objective(u_t, hu_t, w, d, b, cfg)
+                f_t, resid_t, gap_t = _bregman_objective(
+                    hu_t, w, d, b, cfg, phi(u_t, cfg.beta1, cfg.beta2))
                 if f_t <= f0 - ARMIJO_ALPHA * move_sq / t:
                     u, hu, f0, resid, gap = u_t, hu_t, f_t, resid_t, gap_t
                     accepted = True
@@ -237,7 +232,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
         if not np.all(np.isfinite(u)):
             raise FloatingPointError("u_subproblem produced non-finite mask values")
 
-        val = original_objective(u, hu)
+        val = original_objective(u, resid)
         if val < best_val:
             best_u, best_hu, best_val = u, hu, val
 

@@ -530,17 +530,22 @@ def test_cli_sweep_product_grid_matches_optimize(tmp_path):
 
 def test_cli_sweep_malformed_list_is_usage_error(tmp_path, capsys):
     # "0,5" parses, but its rho=0 cell is out of range: every cell is
-    # checked before the baseline is imaged or the directory made; a
-    # repeated value, also one repeated only in its :g form, would write
-    # the same history file twice; a noise level must be finite and >= 0
-    for flag, bad, named in (
-            ("--rho", ",", "--rho"), ("--rho", "a,b", "--rho"),
-            ("--rho", "0,5", "rho"), ("--rho", "5,5", "--rho"),
-            ("--rho", "5,5.0000001", "--rho"),
-            ("--kernel-noise", "nan", "--kernel-noise"),
-            ("--kernel-noise", "inf", "--kernel-noise"),
-            ("--kernel-noise", "-1e-3", "--kernel-noise")):
-        assert run_cli(["sweep", "--target", "ten_rectangles", f"{flag}={bad}",
+    # checked before the baseline is imaged or the directory made; an
+    # empty item is a missing value, not one to skip; a repeated value,
+    # also one repeated only in its :g form, would write the same history
+    # file twice; a noise level must be finite and >= 0; the noise seed
+    # must be one numpy accepts
+    for flags, named in (
+            (["--rho=,"], "--rho"), (["--rho=a,b"], "--rho"),
+            (["--rho=5,,10"], "--rho"), (["--rho=5,"], "--rho"),
+            (["--rho=0,5"], "rho"), (["--rho=5,5"], "--rho"),
+            (["--rho=5,5.0000001"], "--rho"),
+            (["--kernel-noise=,1e-3"], "--kernel-noise"),
+            (["--kernel-noise=nan"], "--kernel-noise"),
+            (["--kernel-noise=inf"], "--kernel-noise"),
+            (["--kernel-noise=-1e-3"], "--kernel-noise"),
+            (["--kernel-noise=0.1", "--seed=-1"], "--seed")):
+        assert run_cli(["sweep", "--target", "ten_rectangles", *flags,
                         "--output-dir", str(tmp_path / "sw")]) == 1
         captured = capsys.readouterr()
         assert named in captured.err
