@@ -24,7 +24,7 @@ import numpy as np
 
 from . import targets
 from .grids import l2_norm
-from .metrics import EvaluationReport, epe_map, evaluate
+from .metrics import epe_map, evaluate
 from .optics import OpticsConfig, PsfKernel, aerial_image, build_psf, convolve, image_threshold
 from .pgmio import (integer, load_config, load_mask, load_pattern, number,
                     save_grid, write_history)
@@ -60,12 +60,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _checked(make, *args, **kwargs):
-    """Build a settings object; a value it rejects is a usage error."""
+def _checked(prefix: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError is a usage error, prefix + its text."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise _UsageError(prefix + str(exc)) from None
 
 
 def _settings(args) -> tuple[OpticsConfig, SolverConfig]:
@@ -80,17 +80,15 @@ def _settings(args) -> tuple[OpticsConfig, SolverConfig]:
             raise _UsageError(f"{args.config}: unknown config key(s): "
                               + ", ".join(unknown))
         for key, text in cfg_file.items():
-            try:
-                values[key] = _SETTINGS[key][1](text)
-            except ValueError as exc:
-                raise _UsageError(f"{args.config}: {key}: {exc}") from None
+            values[key] = _checked(f"{args.config}: {key}: ",
+                                   _SETTINGS[key][1], text)
     for name in _SETTINGS:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
     optics_values = {k: v for k, v in values.items() if k in _OPTICS_FLAGS}
     solver_values = {k: v for k, v in values.items() if k not in _OPTICS_FLAGS}
-    return (_checked(OpticsConfig, **optics_values),
-            _checked(SolverConfig, **solver_values))
+    return (_checked("", OpticsConfig, **optics_values),
+            _checked("", SolverConfig, **solver_values))
 
 
 def _load_target(spec: str) -> np.ndarray:
@@ -140,20 +138,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _save_mask_outputs(u, target, oc, kernel, records,
-                       out: Path) -> EvaluationReport:
-    save_grid(u, out / "mask.txt", mode="text")
-    save_grid(u, out / "mask.pgm", mode="binary",
-              comment="mask binarized at 0.5; continuous values in mask.txt")
-    report = evaluate(u, target, oc, kernel=kernel)
-    # epe = |printed - target| on 0/1 grids, so the printed pattern is
-    # |target - epe| and the mask need not be imaged again
-    save_grid(np.abs(target - report.epe), out / "wafer.pgm", mode="binary")
-    save_grid(report.epe, out / "epe.pgm", mode="binary")
-    write_history(records, out / "history.csv")
-    return report
-
-
 def cmd_optimize(args) -> int:
     oc, sc = _settings(args)
     target = _load_target(args.target)
@@ -168,9 +152,17 @@ def cmd_optimize(args) -> int:
 
     u, records = admm_optimize(target, oc, sc, progress=progress, kernel=kernel)
     out = _outdir(args)
-    final = _save_mask_outputs(u, target, oc, kernel, records, out).error
+    save_grid(u, out / "mask.txt", mode="text")
+    save_grid(u, out / "mask.pgm", mode="binary",
+              comment="mask binarized at 0.5; continuous values in mask.txt")
+    report = evaluate(u, target, oc, kernel=kernel)
+    # epe = |printed - target| on 0/1 grids, so the printed pattern is
+    # |target - epe| and the mask need not be imaged again
+    save_grid(np.abs(target - report.epe), out / "wafer.pgm", mode="binary")
+    save_grid(report.epe, out / "epe.pgm", mode="binary")
+    write_history(records, out / "history.csv")
     trace = lagrangian_trace_check(records)
-    print(f"baseline epe_error={baseline!r}, optimized epe_error={final!r}")
+    print(f"baseline epe_error={baseline!r}, optimized epe_error={report.error!r}")
     print(f"lagrangian nonincreasing fraction: "
           f"{trace.nonincreasing_fraction:.3f}")
     print(f"outputs in {out}")
@@ -197,10 +189,7 @@ def _parse_list(flag: str, text: str) -> list[float]:
     items = text.split(",")
     if not all(tok.strip() for tok in items):
         raise _UsageError(f"--{flag}: {text!r} has an empty item")
-    try:
-        values = [number(tok) for tok in items]
-    except ValueError as exc:
-        raise _UsageError(f"--{flag}: {exc}") from None
+    values = [_checked(f"--{flag}: ", number, tok) for tok in items]
     # each value tags its cell's history file by its :g form
     tags = [f"{v:g}" for v in values]
     for tag in tags:
@@ -228,11 +217,8 @@ def cmd_sweep(args) -> int:
     # any imaging or output; kernel-noise cells keep the base solver settings
     grid = [dict(zip(axes, values))
             for values in itertools.product(*axes.values())] if axes else []
-    solver_cfgs = [_checked(dataclasses.replace, base, **cell) for cell in grid]
-    try:
-        rng = np.random.default_rng(args.seed)
-    except ValueError as exc:
-        raise _UsageError(f"--seed: {exc}") from None
+    solver_cfgs = [_checked("", dataclasses.replace, base, **cell) for cell in grid]
+    rng = _checked("--seed: ", np.random.default_rng, args.seed)
     target = _load_target(args.target)
     out = _outdir(args)
     kernel = build_psf(oc)

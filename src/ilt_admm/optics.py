@@ -244,11 +244,10 @@ class _ConvOperator:
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
         self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
-        # the kernel's spectrum by the same pruned passes: the first covers
-        # only the k rows (columns, for fft2's axis-0 pass) that hold the kernel
+        # the kernel's spectrum by the pruned passes: the first covers only
+        # the k rows (columns, for fft2's axis-0 pass) that hold the kernel
         if self.real:
-            rows = sfft.rfft(kernel.real, size, axis=1)
-            self.kernel_hat = sfft.fft(rows, size, axis=0)
+            self.kernel_hat = self.spectrum(kernel.real)
         else:
             cols = sfft.fft(kernel, size, axis=0)
             self.kernel_hat = sfft.fft(cols, size, axis=1)
@@ -257,11 +256,12 @@ class _ConvOperator:
         self._lattice = None  # their first pass, zero off the window
 
     def spectrum(self, u: np.ndarray) -> np.ndarray:
-        """The transform of an n x n grid on the lattice: half of it (rfft
+        """The transform of a grid of at most L rows and columns (an n x n
+        mask, or a real kernel) on the L x L lattice: half of it (rfft
         layout) for a real kernel, all of it for a complex one."""
         size = self.shape[0]
         if self.real:
-            rows = sfft.rfft(u, size, axis=1)  # the n rows that hold input
+            rows = sfft.rfft(u, size, axis=1)  # only the rows that hold input
             return sfft.fft(rows, size, axis=0, overwrite_x=True)
         return sfft.fft2(u, self.shape)
 

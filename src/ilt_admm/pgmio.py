@@ -11,8 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-from .solver import ConvergenceRecord
-
 HISTORY_HEADER = ["iter", "lagrangian", "epe_error", "primal_residual",
                   "step_accepted"]
 
@@ -99,23 +97,34 @@ def _finite_token(tok: str) -> float:
     return value
 
 
-def _decode(data: bytes, path: Path) -> str:
+def _read(path, missing: str) -> tuple[Path, bytes]:
+    """Path(path) and its bytes; a missing file is malformed: "<path>: <missing>"."""
+    path = Path(path)
+    if not path.exists():
+        raise PatternFormatError(f"{path}: {missing}")
+    return path, path.read_bytes()
+
+
+def _lines(data: bytes, path: Path):
+    """(number from 1, body) of each line of UTF-8 text whose body, the
+    line cut at its first '#' and stripped, is not blank."""
     try:
-        return data.decode()
+        text = data.decode()
     except UnicodeDecodeError as exc:
         raise PatternFormatError(f"{path}: not UTF-8 text: {exc.reason} "
                                  f"at byte {exc.start}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
 
 
 def _parse_text(data: bytes, path: Path,
                 token: Callable[[str], float]) -> np.ndarray:
-    """Parse a whitespace-separated text grid ('#' starts a comment), each
-    token parsed by `token`, into a float array of equal-length rows."""
+    """Parse a whitespace-separated text grid, each token parsed by
+    `token`, into a float array of equal-length rows."""
     rows = []
-    for lineno, line in enumerate(_decode(data, path).splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(data, path):
         row = []
         for col, tok in enumerate(body.split(), start=1):
             try:
@@ -135,10 +144,7 @@ def _parse_text(data: bytes, path: Path,
 def _read_grid(path, token: Callable[[str], float]) -> tuple[np.ndarray, bool]:
     """Read a square grid from a PGM file or a text grid whose tokens are
     parsed by `token`. Returns the grid and whether it came from a PGM."""
-    path = Path(path)
-    if not path.exists():
-        raise PatternFormatError(f"{path}: no such file")
-    data = path.read_bytes()
+    path, data = _read(path, "no such file")
     pgm = data[:2] in (b"P2", b"P5")
     grid = _parse_pgm(data, path) if pgm else _parse_text(data, path, token)
     if grid.shape[0] != grid.shape[1]:
@@ -202,8 +208,9 @@ def save_grid(grid: np.ndarray, path, mode: str = "binary",
     path.write_text(header + body + "\n")
 
 
-def write_history(records: list[ConvergenceRecord], path) -> None:
-    """CSV convergence log, one row per outer iteration, full precision."""
+def write_history(records: list, path) -> None:
+    """CSV convergence log of solver.ConvergenceRecord objects, one row per
+    outer iteration, full precision."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -221,14 +228,8 @@ def load_config(path) -> dict[str, str]:
     A key set twice is malformed."""
     out: dict[str, str] = {}
     lines: dict[str, int] = {}
-    path = Path(path)
-    if not path.exists():
-        raise PatternFormatError(f"{path}: no such config file")
-    text = _decode(path.read_bytes(), path)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    path, data = _read(path, "no such config file")
+    for lineno, body in _lines(data, path):
         if "=" not in body:
             raise PatternFormatError(
                 f"{path}: line {lineno}: expected key=value, got {body!r}")

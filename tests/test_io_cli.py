@@ -1,6 +1,10 @@
+import ast
 import csv
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ from ilt_admm.pgmio import (PatternFormatError, load_config, load_mask,
 from ilt_admm.solver import ConvergenceRecord
 
 RNG = np.random.default_rng(41)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_history(path) -> list[dict]:
@@ -258,6 +263,12 @@ def test_load_config(tmp_path):
     p.write_bytes(b"\xff\xferho=5\n")
     with pytest.raises(PatternFormatError, match="cfg: not UTF-8 text"):
         load_config(p)
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(PatternFormatError, match="no such config file"):
+        load_config(missing)
+    assert run_cli(["psf", "--config", str(missing),
+                    "--output-dir", str(tmp_path / "m")]) == 2
+    assert not (tmp_path / "m").exists()
 
 
 # ------------------------------------------------------------------------- cli
@@ -552,3 +563,39 @@ def test_cli_sweep_malformed_list_is_usage_error(tmp_path, capsys):
         assert captured.out == ""
     assert not (tmp_path / "sw").exists()
 
+
+# ------------------------------------------------------------ fresh interpreter
+
+def run_python(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """`python <args>` in a fresh interpreter that imports the package
+    from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    def cli(*argv):
+        return run_python(["-m", "ilt_admm.cli", *argv], tmp_path)
+
+    out = tmp_path / "psf"
+    done = cli("psf", "--kernel-size", "8", "--output-dir", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (out / "psf_real.txt").exists()
+    done = cli("optimize")  # no --target
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage error: ")
+    done = cli("evaluate", "--mask", str(tmp_path / "missing.pgm"),
+               "--target", "ten_rectangles")
+    assert done.returncode == 2
+    assert done.stderr == f"error: {tmp_path / 'missing.pgm'}: no such file\n"
+
+
+def test_pgmio_imports_nothing_from_the_package(tmp_path):
+    code = ("import sys, ilt_admm.pgmio; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'ilt_admm'))")
+    done = run_python(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout) == ["ilt_admm", "ilt_admm.pgmio"]
