@@ -24,7 +24,7 @@ import numpy as np
 
 from . import targets
 from .grids import l2_norm
-from .metrics import epe_map, evaluate
+from .metrics import epe_report, evaluate
 from .optics import OpticsConfig, PsfKernel, aerial_image, build_psf, convolve, image_threshold
 from .pgmio import (integer, load_config, load_mask, load_pattern, number,
                     save_grid, write_history)
@@ -126,14 +126,14 @@ def cmd_simulate(args) -> int:
     ia = aerial_image(v)
     printed = image_threshold(ia, oc.threshold)
     # every output is formed, so a bad target fails before any is written
-    epe = None if target is None else epe_map(printed, target)
+    report = None if target is None else epe_report(printed, target)
     out = _outdir(args)
     save_grid(ia, out / "aerial.pgm", mode="continuous", comment="aerial image")
     save_grid(printed, out / "wafer.pgm", mode="binary")
-    if epe is not None:
-        save_grid(epe, out / "epe.pgm", mode="binary")
-        print(f"epe_error={l2_norm(epe)!r} "
-              f"nonzero_epe_pixels={np.count_nonzero(epe)}")
+    if report is not None:
+        save_grid(report.epe, out / "epe.pgm", mode="binary")
+        print(f"epe_error={report.error!r} "
+              f"nonzero_epe_pixels={report.nonzero_epe_pixels}")
     print(f"simulation outputs in {out}")
     return 0
 

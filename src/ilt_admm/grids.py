@@ -2,7 +2,9 @@
 
 Grids are plain numpy arrays of shape (n, n); the helpers here validate
 shapes and provide the handful of elementwise/reduction primitives the
-solver needs.
+solver needs. The reductions are numpy's pairwise sums, not BLAS: after a
+threaded BLAS call OpenBLAS's idle workers spin on the cores the FFTs that
+follow need.
 """
 
 from __future__ import annotations
@@ -54,16 +56,20 @@ def project_box(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.clip(u, 0.0, 1.0, out=out)
 
 
+def sum_squares(x: np.ndarray) -> float:
+    """||x||^2, the package's one rule: the sum of the squares of x's real
+    view (re, im interleaved). On real x it is inner(x, x) exactly."""
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x).view(float)  # any layout, summed in C order
+    return float(np.sum(np.square(x)))
+
+
 def l2_norm(x: np.ndarray) -> float:
-    return math.sqrt(inner(x, x))
+    return math.sqrt(sum_squares(x))
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of the Hermitian inner product <a, b>.
-
-    Summed pairwise by numpy, not by a BLAS dot: after a threaded BLAS call
-    OpenBLAS's idle workers spin on the cores the FFTs that follow need.
-    """
+    """Real part of the Hermitian inner product <a, b>."""
     check_same_shape(a, b)
     total = np.sum(a.real * b.real)
     if np.iscomplexobj(a) and np.iscomplexobj(b):

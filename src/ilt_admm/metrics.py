@@ -1,5 +1,5 @@
-"""Edge placement error: the pixelwise |printed - target| map and its
-l2 norm, the scalar quality measure for a mask."""
+"""Edge placement error: the map and count of the pixels where the printed
+pattern and the target differ, and the map's l2 norm, a mask's quality."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics as _optics
-from .grids import as_binary, as_grid, check_same_shape, l2_norm
+from .grids import as_binary, as_grid, check_same_shape
 from .optics import OpticsConfig, PsfKernel
 
 
@@ -20,17 +20,30 @@ class EvaluationReport:
     nonzero_epe_pixels: int
 
 
-def epe_map(output: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Elementwise |output - target|."""
+def mismatch_report(missed: np.ndarray) -> EvaluationReport:
+    """The report of the bool map printed != target: the map as 0/1 floats,
+    its count (on the bool) and sqrt(count), the map's l2 norm exactly."""
+    count = int(np.count_nonzero(missed))
+    return EvaluationReport(epe=missed.astype(float), error=math.sqrt(count),
+                            nonzero_epe_pixels=count)
+
+
+def epe_report(output: np.ndarray, target: np.ndarray) -> EvaluationReport:
+    """The report of two 0/1 grids of one shape (GridError otherwise)."""
     output = as_binary(output)
     target = as_binary(target)
     check_same_shape(output, target)
-    return np.abs(output - target)
+    return mismatch_report(output != target)
+
+
+def epe_map(output: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Elementwise |output - target|."""
+    return epe_report(output, target).epe
 
 
 def epe_error(output: np.ndarray, target: np.ndarray) -> float:
-    """l2 norm of the EPE map; sqrt(#differing pixels) for binary inputs."""
-    return l2_norm(epe_map(output, target))
+    """l2 norm of the EPE map: sqrt(#differing pixels)."""
+    return epe_report(output, target).error
 
 
 def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
@@ -41,16 +54,12 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     Evaluation always uses the hard threshold: it is the printed wafer
     pattern, not the sigmoid surrogate used inside the solver. The printed
     image is 0/1 by construction, so only the target is checked for
-    binarity. Between 0/1 grids |printed - target| is the indicator of
-    printed != target, and the error is sqrt(#differing pixels): the l2
-    norm of that map exactly, since its sum of squares is an integer.
+    binarity; the report is mismatch_report's of printed != target.
 
     The mask must be real, finite and of the target's shape (GridError
-    otherwise). Once checked, it is imaged by optics.convolve_cached: with
-    a complex (defocused) kernel its spectrum comes from an LRU of the 16
-    latest masks, keyed by their bytes, so a process window of up to 16
-    masks transforms each once rather than once per focus setting. The
-    report is that of optics.convolve bit for bit.
+    otherwise). Once checked, it is imaged by optics.convolve_cached: for
+    complex (defocused) kernels each of up to 16 masks is transformed once,
+    not once per focus setting; the report is optics.convolve's bit for bit.
     """
     target = as_binary(target)
     mask = as_grid(mask)
@@ -59,7 +68,4 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
         kernel = _optics.build_psf(optics_cfg)
     v = _optics.convolve_cached(kernel, mask)
     printed = _optics.image_threshold(_optics.aerial_image(v), optics_cfg.threshold)
-    missed = printed != target
-    count = int(np.count_nonzero(missed))
-    return EvaluationReport(epe=missed.astype(float), error=math.sqrt(count),
-                            nonzero_epe_pixels=count)
+    return mismatch_report(printed != target)

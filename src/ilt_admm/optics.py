@@ -236,7 +236,6 @@ class _ConvOperator:
         k = kernel.shape[0]
         self.n = n
         self.crop = (k - 1) // 2  # central-window offset into the full conv
-        self.kernel = kernel
         self.real = not kernel.imag.any()
         # wrap-around lands outside the central window; the kernel must fit.
         # Real transforms get a 5-smooth length: pocketfft's real FFTs take

@@ -15,10 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import optics as _optics
-from .grids import as_binary, inner, l2_norm, project_box
+from .grids import as_binary, inner, l2_norm, project_box, sum_squares
 from .metrics import epe_error
-from .optics import (PsfKernel, check_settings, convolve, convolve_adjoint,
-                     image_sigmoid)
+from .optics import (PsfKernel, aerial_image, check_settings, convolve,
+                     convolve_adjoint, image_sigmoid)
 from .regularization import binarity_penalty, diff_adjoint, phi, shrink, tv_norm
 
 # Projected Armijo search of the U-step: sufficient-decrease factor in
@@ -75,8 +75,7 @@ class ConvergenceRecord:
 
 def sigmoid_misfit(v: np.ndarray, target: np.ndarray, a: float, tr: float) -> float:
     """h_a(V) = || Sig_a(|V|^2) - I ||_2^2."""
-    s = image_sigmoid(np.abs(v) ** 2, a, tr)
-    return float(np.sum((s - target) ** 2))
+    return sum_squares(image_sigmoid(aerial_image(v), a, tr) - target)
 
 
 def grad_h(v: np.ndarray, target: np.ndarray, a: float, tr: float) -> np.ndarray:
@@ -87,7 +86,7 @@ def grad_h(v: np.ndarray, target: np.ndarray, a: float, tr: float) -> np.ndarray
     2(Sig - I) * a Sig (1 - Sig) * 2v; verified against finite differences.)
     """
     v = np.asarray(v)
-    s = image_sigmoid(np.abs(v) ** 2, a, tr)
+    s = image_sigmoid(aerial_image(v), a, tr)
     return 4.0 * a * v * (s - np.asarray(target)) * (1.0 - s) * s
 
 
@@ -121,7 +120,7 @@ def augmented_lagrangian(u: np.ndarray, hu: np.ndarray, v: np.ndarray,
             + cfg.beta1 * tv_norm(u)
             + cfg.beta2 * binarity_penalty(u)
             + inner(p, resid)
-            + 0.5 * cfg.rho * float(np.sum(np.abs(resid) ** 2)))
+            + 0.5 * cfg.rho * sum_squares(resid))
 
 
 def _bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
@@ -134,15 +133,8 @@ def _bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
     resid = hu - w
     gap = np.subtract(d, phi_u, out=phi_u)
     gap -= b
-    f = _sum_squares(resid) + 0.5 * cfg.gamma * _sum_squares(gap)
+    f = sum_squares(resid) + 0.5 * cfg.gamma * sum_squares(gap)
     return f, resid, gap
-
-
-def _sum_squares(x: np.ndarray) -> float:
-    """sum |x|^2 as the squares of the real view of x (re, im interleaved
-    for complex data): no complex abs, no BLAS. x must be C-contiguous."""
-    r = x.view(float) if np.iscomplexobj(x) else x
-    return float(np.sum(np.square(r)))
 
 
 def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
@@ -195,11 +187,10 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     b = np.zeros((3,) + u.shape)
 
     def original_objective(uu: np.ndarray, resid: np.ndarray) -> float:
-        return (_sum_squares(resid)
+        return (sum_squares(resid)
                 + cfg.beta1 * tv_norm(uu) + cfg.beta2 * binarity_penalty(uu))
 
     best_u, best_hu, best_val = u, hu, original_objective(u, hu - w)
-    move = np.empty_like(u)  # scratch for each Armijo trial's move
 
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an
@@ -210,13 +201,11 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
             t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
-                # u_t = P(u - t g) and its squared move, formed in place
+                # u_t = P(u - t g), formed in place, and its squared move
                 u_t = np.multiply(g, t)
                 np.subtract(u, u_t, out=u_t)
                 project_box(u_t, out=u_t)
-                np.subtract(u, u_t, out=move)
-                move *= move
-                move_sq = float(np.sum(move))
+                move_sq = sum_squares(u - u_t)
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(kernel, u_t)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ilt_admm.grids import (GridError, as_binary, as_grid, inner, l2_norm,
-                            project_box)
+                            project_box, sum_squares)
 
 finite_grids = arrays(np.float64, (5, 5),
                       elements=st.floats(-10, 10, allow_nan=False))
@@ -31,7 +31,15 @@ def test_norms_trivial():
 
 @given(finite_grids, finite_grids)
 def test_l2_squared_is_self_inner(x, y):
-    for z in (x, x + 1j * y):
+    # sum_squares is the one ||x||^2: on real grids the self inner product
+    # bit for bit, on complex ones the sum over the interleaved real view,
+    # whatever the memory layout
+    assert sum_squares(x) == inner(x, x)
+    c = x + 1j * y
+    assert sum_squares(c) == sum_squares(c.view(float))
+    for view in (c.T, c[:, ::2]):
+        assert sum_squares(view) == sum_squares(view.copy())
+    for z in (x, c):
         assert l2_norm(z) ** 2 == pytest.approx(inner(z, z), rel=1e-12, abs=1e-12)
         # numpy's pairwise sums agree with the BLAS reductions they replace
         assert l2_norm(z) == pytest.approx(np.linalg.norm(z), rel=1e-12, abs=1e-12)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ilt_admm.grids import GridError, l2_norm
-from ilt_admm.metrics import epe_error, epe_map, evaluate
+from ilt_admm.metrics import (epe_error, epe_map, epe_report, evaluate,
+                              mismatch_report)
 from ilt_admm.optics import (OpticsConfig, aerial_image, build_psf, convolve,
                              image_threshold)
 from ilt_admm.targets import ten_rectangles
@@ -16,6 +17,11 @@ def test_epe_map_counts_differing_pixels():
     m = epe_map(a, b)
     assert np.array_equal(m, [[0.0, 1.0], [0.0, 1.0]])
     assert epe_error(a, b) == pytest.approx(np.sqrt(2.0))
+    # every EPE comes from the one report of the bool map a != b
+    for report in (epe_report(a, b), mismatch_report(a != b)):
+        assert report.epe.tobytes() == m.tobytes()
+        assert report.nonzero_epe_pixels == 2
+        assert report.error == epe_error(a, b) == l2_norm(m)
 
 
 def test_epe_identical_patterns_is_zero():
@@ -28,6 +34,8 @@ def test_epe_rejects_non_binary_input():
         epe_map(np.full((2, 2), 0.5), np.zeros((2, 2)))
     with pytest.raises(GridError):
         epe_map(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(GridError):
+        epe_report(np.zeros((2, 2)), np.full((2, 2), 2.0))
 
 
 def test_evaluate_reports_consistent_fields():

@@ -282,20 +282,20 @@ def test_adjoint_reuses_its_lattice_exactly():
         assert np.array_equal(got, convolve_adjoint(PsfKernel(samples), x2))
 
 
-def full_lattice_spectrum(op):
-    """The operator's kernel spectrum by one whole 2-D transform: rfft2 for
-    a real kernel, fft2 for a complex one."""
+def full_lattice_spectrum(op, samples):
+    """The spectrum of the operator's kernel samples by one whole 2-D
+    transform: rfft2 for a real kernel, fft2 for a complex one."""
     if op.real:
-        return sfft.rfft2(op.kernel.real, op.shape)
-    return sfft.fft2(op.kernel, op.shape)
+        return sfft.rfft2(samples.real, op.shape)
+    return sfft.fft2(samples, op.shape)
 
 
-def full_lattice_convolution(op, y, start, adjoint):
+def full_lattice_convolution(op, samples, y, start, adjoint):
     """The n x n window at start of the cyclic convolution of the lattice y
     with the kernel (conjugate spectrum if adjoint), by whole 2-D transforms:
     rfft2/irfft2 for a real kernel, fft2/ifft2 for a complex one."""
     fft, ifft = (sfft.rfft2, sfft.irfft2) if op.real else (sfft.fft2, sfft.ifft2)
-    kernel_hat = full_lattice_spectrum(op)
+    kernel_hat = full_lattice_spectrum(op, samples)
     y_hat = fft(y, op.shape)
     y_hat *= np.conj(kernel_hat) if adjoint else kernel_hat
     full = ifft(y_hat, op.shape)
@@ -314,11 +314,12 @@ def test_pruned_passes_equal_full_lattice_transforms():
         s = op.crop
         for _ in range(2):
             u, x = RNG.random((n, n)), complex_normal((n, n))
-            want = full_lattice_convolution(op, u, s, adjoint=False)
+            want = full_lattice_convolution(op, kernel.samples, u, s, adjoint=False)
             assert np.array_equal(convolve(kernel, u), want), (op.shape, n)
             y = np.zeros(op.shape, dtype=float if op.real else complex)
             y[s:s + n, s:s + n] = x.real if op.real else x
-            want = full_lattice_convolution(op, y, 0, adjoint=True).real
+            want = full_lattice_convolution(op, kernel.samples, y, 0,
+                                            adjoint=True).real
             assert np.array_equal(convolve_adjoint(kernel, x), want), (op.shape, n)
 
 
@@ -332,7 +333,7 @@ def test_kernel_spectrum_equals_full_lattice_transform():
               for d in (0.0, 50.0)]
     for samples, n in cases:
         op = PsfKernel(samples).op(n)
-        want = full_lattice_spectrum(op)
+        want = full_lattice_spectrum(op, samples)
         assert op.kernel_hat.shape == want.shape, (op.shape, n)
         assert sha256(op.kernel_hat) == sha256(want), (op.shape, n)
 
