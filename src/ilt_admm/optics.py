@@ -92,11 +92,34 @@ class PsfKernel:
         self.samples = as_grid(self.samples, complex_ok=True)
         self.dc_gain = float(abs(self.samples.sum()))
 
+    @property
+    def single(self) -> "_SinglePrecision":
+        """This kernel as the U-step hands it to convolve, convolve_adjoint
+        and grad_F for its Armijo trial images and gradient adjoints, which
+        then run in single precision. A new handle each time: kept on the
+        kernel, it would make a reference cycle that holds every dropped
+        kernel and its operators until the garbage collector runs."""
+        return _SinglePrecision(self)
+
+    def op(self, n: int, single: bool = False) -> "_ConvOperator":
+        """FFT convolution operator for n x n inputs, cached per size and
+        precision: float64 unless single."""
+        if (n, single) not in self._ops:
+            self._ops[n, single] = _ConvOperator(self.samples, n, single)
+        return self._ops[n, single]
+
+
+class _SinglePrecision:
+    """A PsfKernel's single-precision stand-in: convolve and
+    convolve_adjoint given it reach the kernel's single-precision operator."""
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: PsfKernel):
+        self.kernel = kernel
+
     def op(self, n: int) -> "_ConvOperator":
-        """FFT convolution operator for n x n inputs, cached per size."""
-        if n not in self._ops:
-            self._ops[n] = _ConvOperator(self.samples, n)
-        return self._ops[n]
+        return self.kernel.op(n, single=True)
 
 
 # a focus sweep needs one entry; each holds ~0.38 MB at the production setting
@@ -230,13 +253,21 @@ class _ConvOperator:
     the spectrum it is given untouched, so one spectrum can serve every
     kernel on the same lattice: convolve_cached takes a complex kernel's
     from _mask_spectrum, which transforms as spectrum does.
+
+    A single-precision operator (single=True) runs the same passes on
+    float32/complex64 arrays: the kernel spectrum is built in float64 and
+    then rounded to complex64, the input is rounded to float32 at the first
+    pass, and forward and adjoint return float64 (complex128 for a complex
+    kernel's forward). It agrees with the float64 operator to ~3e-7
+    relative; only the U-step's trial images and gradient adjoints use it.
     """
 
-    def __init__(self, kernel: np.ndarray, n: int):
+    def __init__(self, kernel: np.ndarray, n: int, single: bool = False):
         k = kernel.shape[0]
         self.n = n
         self.crop = (k - 1) // 2  # central-window offset into the full conv
         self.real = not kernel.imag.any()
+        self.single = single
         # wrap-around lands outside the central window; the kernel must fit.
         # Real transforms get a 5-smooth length: pocketfft's real FFTs take
         # any factor 7 through their slow generic radix.
@@ -246,10 +277,11 @@ class _ConvOperator:
         # the kernel's spectrum by the pruned passes: the first covers only
         # the k rows (columns, for fft2's axis-0 pass) that hold the kernel
         if self.real:
-            self.kernel_hat = self.spectrum(kernel.real)
+            kernel_hat = self.spectrum(kernel.real)
         else:
             cols = sfft.fft(kernel, size, axis=0)
-            self.kernel_hat = sfft.fft(cols, size, axis=1)
+            kernel_hat = sfft.fft(cols, size, axis=1)
+        self.kernel_hat = kernel_hat.astype(np.complex64) if single else kernel_hat
         self._adjoint_hat = None
         self._window = None  # the adjoint's input rows (real) or columns
         self._lattice = None  # their first pass, zero off the window
@@ -266,13 +298,13 @@ class _ConvOperator:
 
     def image(self, u_hat: np.ndarray) -> np.ndarray:
         """forward from the grid's spectrum, which stays unchanged."""
-        return self._inverse(u_hat * self.kernel_hat, self.crop)
+        return _double(self._inverse(u_hat * self.kernel_hat, self.crop))
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
-        u_hat = self.spectrum(u)
+        u_hat = self.spectrum(u.astype(np.float32) if self.single else u)
         u_hat *= self.kernel_hat
-        return self._inverse(u_hat, self.crop)
+        return _double(self._inverse(u_hat, self.crop))
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """Re{H^* x}, the exact adjoint of forward on real grids: embed at
@@ -282,9 +314,10 @@ class _ConvOperator:
         s, n, size = self.crop, self.n, self.shape[0]
         if self._adjoint_hat is None:
             self._adjoint_hat = np.conj(self.kernel_hat)
-            self._lattice = np.zeros(self.kernel_hat.shape, dtype=complex)
+            self._lattice = np.zeros(self.kernel_hat.shape, self.kernel_hat.dtype)
             self._window = np.zeros((n, size) if self.real else (size, n),
-                                    dtype=float if self.real else complex)
+                                    self.kernel_hat.real.dtype if self.real
+                                    else self.kernel_hat.dtype)
         if self.real:
             self._window[:, s:s + n] = x.real
             self._lattice[s:s + n] = sfft.rfft(self._window, axis=1)
@@ -294,7 +327,7 @@ class _ConvOperator:
             self._lattice[:, s:s + n] = sfft.fft(self._window, axis=0)
             y_hat = sfft.fft(self._lattice, axis=1)
         y_hat *= self._adjoint_hat
-        return self._inverse(y_hat, 0).real
+        return _double(self._inverse(y_hat, 0).real)
 
     def _inverse(self, y_hat: np.ndarray, start: int) -> np.ndarray:
         """Rows and columns start:start + n of the inverse transform of the
@@ -308,6 +341,11 @@ class _ConvOperator:
             return out
         rows *= self.scale  # ifft2 scales in its first pass
         return sfft.ifft(rows, axis=1, norm="forward", overwrite_x=True)[:, keep]
+
+
+def _double(a: np.ndarray) -> np.ndarray:
+    """a as float64 or complex128; a itself when it already is."""
+    return a.astype(np.promote_types(a.dtype, np.float64), copy=False)
 
 
 def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:

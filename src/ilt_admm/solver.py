@@ -146,6 +146,8 @@ def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
     2 Re{H^*(HU - W)} - gamma*beta1 D^T(gap[0], gap[1])
     + gamma*beta2 gap[2] (2U - 1), with gap = d - Phi(U) - b.
     The residual resid = HU - W and gap are computed unless both are given.
+    The U-step passes kernel.single, the kernel's single-precision
+    stand-in, so its adjoint runs in single precision.
     """
     if resid is None or gap is None:
         _, resid, gap = _bregman_objective(convolve(kernel, u), w, d, b, cfg,
@@ -177,10 +179,13 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     applied to every trial point, and the sufficient-decrease test uses the
     gradient-mapping norm ||U - P(U - t g)||^2 / t^2, which reduces to the
     plain Armijo rule ||g||^2 at interior points), then applies shrinkage
-    and the Bregman update. Returns (U, HU) for the iterate with the lowest
-    original objective seen, so the value never exceeds the one at u_init;
-    HU is the image already formed for it, not a new convolution.
+    and the Bregman update. The trial images and the gradient adjoints run
+    through kernel.single, in single precision. Returns (U, HU) for the
+    iterate with the lowest original objective seen, so the value never
+    exceeds the one at u_init; HU is convolve(kernel, U), a float64 image
+    formed once at the end, or hu_init itself when U is u_init.
     """
+    single = kernel.single  # the trials' and gradients' operator
     u, hu = np.asarray(u_init, dtype=float), hu_init
     phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
@@ -197,7 +202,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
         # accepted trial carries its own into the next descent step
         f0, resid, gap = _bregman_objective(hu, w, d, b, cfg, phi_u)
         for _ in range(cfg.descent_max_iters):
-            g = grad_F(u, w, d, b, cfg, kernel, resid=resid, gap=gap)
+            g = grad_F(u, w, d, b, cfg, single, resid=resid, gap=gap)
             t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
@@ -208,7 +213,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                 move_sq = sum_squares(u - u_t)
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
-                hu_t = convolve(kernel, u_t)
+                hu_t = convolve(single, u_t)
                 f_t, resid_t, gap_t = _bregman_objective(
                     hu_t, w, d, b, cfg, phi(u_t, cfg.beta1, cfg.beta2))
                 if f_t <= f0 - ARMIJO_ALPHA * move_sq / t:
@@ -223,11 +228,13 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
 
         val = original_objective(u, resid)
         if val < best_val:
-            best_u, best_hu, best_val = u, hu, val
+            best_u, best_hu, best_val = u, None, val  # imaged at the end
 
         phi_u = phi(u, cfg.beta1, cfg.beta2)
         d = shrink(phi_u + b, 1.0 / cfg.gamma)
         b = b + phi_u - d
+    if best_hu is None:
+        best_hu = convolve(kernel, best_u)
     return best_u, best_hu
 
 

@@ -282,6 +282,35 @@ def test_adjoint_reuses_its_lattice_exactly():
         assert np.array_equal(got, convolve_adjoint(PsfKernel(samples), x2))
 
 
+def test_single_precision_operator_tracks_float64():
+    # the U-step's operator: float32/complex64 inside, float64/complex128
+    # out, within 1e-6 relative of the float64 operator and an exact adjoint
+    # pair to 1e-6; using it leaves the kernel's float64 operator unchanged
+    cases = [(RNG.normal(size=(6, 6)), 9), (complex_normal((6, 6)), 9)]
+    cases += [(build_psf(OpticsConfig(defocus_nm=d)).samples, 144)
+              for d in (0.0, 50.0)]
+    for samples, n in cases:
+        kernel = PsfKernel(samples)
+        single = kernel.op(n, single=True)
+        assert single is kernel.single.op(n) and single is not kernel.op(n)
+        assert np.array_equal(single.kernel_hat,
+                              kernel.op(n).kernel_hat.astype(np.complex64))
+        u, x = RNG.random((n, n)), complex_normal((n, n))
+        for _ in range(2):  # the adjoint's kept buffers, reused
+            hu, hx = convolve(kernel.single, u), convolve_adjoint(kernel.single, x)
+            want_hu, want_hx = convolve(kernel, u), convolve_adjoint(kernel, x)
+            assert hu.dtype == want_hu.dtype  # float64 or complex128
+            assert hx.dtype == np.float64
+            assert np.abs(hu - want_hu).max() <= 1e-6 * np.abs(want_hu).max()
+            assert np.abs(hx - want_hx).max() <= 1e-6 * np.abs(want_hx).max()
+            lhs, rhs = np.vdot(hu, x).real, np.vdot(u, hx)
+            assert abs(lhs - rhs) <= 1e-6 * abs(lhs), n
+        fresh = PsfKernel(samples)
+        assert np.array_equal(convolve(kernel, u), convolve(fresh, u))
+        assert np.array_equal(convolve_adjoint(kernel, x),
+                              convolve_adjoint(fresh, x))
+
+
 def full_lattice_spectrum(op, samples):
     """The spectrum of the operator's kernel samples by one whole 2-D
     transform: rfft2 for a real kernel, fft2 for a complex one."""

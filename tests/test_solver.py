@@ -368,21 +368,58 @@ def test_u_step_reuses_phi_at_each_sweep_start(monkeypatch):
         u0 = np.full((32, 32), 0.5)
         hu0 = convolve(kernel, u0)
         w = convolve(kernel, u_true)
-        calls = {"phi": 0, "convolve": 0}
+        calls = {"phi": 0, "trial": 0, "float64": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_phi(*args):
+            calls["phi"] += 1
+            return phi(*args)
+
+        def counted_convolve(k, u):
+            # the Armijo trials image through the kernel's single-precision
+            # stand-in; a float64 image is the returned iterate's
+            calls["float64" if k is kernel else "trial"] += 1
+            return convolve(k, u)
 
         with monkeypatch.context() as m:
-            m.setattr(solver, "phi", counted("phi", phi))
-            m.setattr(solver, "convolve", counted("convolve", convolve))
+            m.setattr(solver, "phi", counted_phi)
+            m.setattr(solver, "convolve", counted_convolve)
             u_subproblem(w, u0, hu0, cfg, kernel)
         # one at u_init, one per Armijo trial (each images its trial
         # point), one per sweep end
-        assert calls["phi"] == 1 + calls["convolve"] + cfg.bregman_max_iters
+        assert calls["trial"] > 0
+        assert calls["phi"] == 1 + calls["trial"] + cfg.bregman_max_iters
+        assert calls["float64"] <= 1
+
+
+def test_u_step_trials_run_in_single_precision(monkeypatch):
+    # every Armijo trial image and gradient adjoint goes through the
+    # single-precision operator; the image returned is float64, formed
+    # once, and equals the public convolve of the returned mask
+    cfg = SolverConfig(bregman_max_iters=3, descent_max_iters=3)
+    u0 = np.full((32, 32), 0.5)
+    u_true = np.zeros((32, 32))
+    u_true[8:24, 10:22] = 1.0
+    for defocus, dtype in ((0.0, np.float64), (50.0, np.complex128)):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        hu0, w = convolve(kernel, u0), convolve(kernel, u_true)
+        assert kernel.op(32, single=True).kernel_hat.dtype == np.complex64
+        calls = []
+        for name in ("forward", "adjoint"):
+            def counted(self, x, _name=name,
+                        _method=getattr(optics._ConvOperator, name)):
+                calls.append((_name, self.kernel_hat.dtype))
+                return _method(self, x)
+            monkeypatch.setattr(optics._ConvOperator, name, counted)
+        out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
+        monkeypatch.undo()
+        assert not np.array_equal(out, u0)
+        single = [c for c in calls if c[1] == np.complex64]
+        double = [c for c in calls if c[1] != np.complex64]
+        assert {c[0] for c in single} == {"forward", "adjoint"}
+        assert double == [("forward", np.complex128)]
+        assert calls[-1] == double[0]  # the returned iterate's image
+        assert hu.dtype == dtype
+        assert np.array_equal(hu, convolve(kernel, out))
 
 
 def test_u_step_takes_no_complex_abs(monkeypatch):
