@@ -36,11 +36,6 @@ def epe_report(output: np.ndarray, target: np.ndarray) -> EvaluationReport:
     return mismatch_report(output != target)
 
 
-def epe_map(output: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Elementwise |output - target|."""
-    return epe_report(output, target).epe
-
-
 def epe_error(output: np.ndarray, target: np.ndarray) -> float:
     """l2 norm of the EPE map: sqrt(#differing pixels)."""
     return epe_report(output, target).error

@@ -92,34 +92,13 @@ class PsfKernel:
         self.samples = as_grid(self.samples, complex_ok=True)
         self.dc_gain = float(abs(self.samples.sum()))
 
-    @property
-    def single(self) -> "_SinglePrecision":
-        """This kernel as the U-step hands it to convolve, convolve_adjoint
-        and grad_F for its Armijo trial images and gradient adjoints, which
-        then run in single precision. A new handle each time: kept on the
-        kernel, it would make a reference cycle that holds every dropped
-        kernel and its operators until the garbage collector runs."""
-        return _SinglePrecision(self)
-
     def op(self, n: int, single: bool = False) -> "_ConvOperator":
         """FFT convolution operator for n x n inputs, cached per size and
-        precision: float64 unless single."""
+        precision: float64 unless single. The operator is itself a handle
+        that convolve and convolve_adjoint accept in the kernel's place."""
         if (n, single) not in self._ops:
             self._ops[n, single] = _ConvOperator(self.samples, n, single)
         return self._ops[n, single]
-
-
-class _SinglePrecision:
-    """A PsfKernel's single-precision stand-in: convolve and
-    convolve_adjoint given it reach the kernel's single-precision operator."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel: PsfKernel):
-        self.kernel = kernel
-
-    def op(self, n: int) -> "_ConvOperator":
-        return self.kernel.op(n, single=True)
 
 
 # a focus sweep needs one entry; each holds ~0.38 MB at the production setting
@@ -260,6 +239,10 @@ class _ConvOperator:
     pass, and forward and adjoint return float64 (complex128 for a complex
     kernel's forward). It agrees with the float64 operator to ~3e-7
     relative; only the U-step's trial images and gradient adjoints use it.
+
+    An operator stands in for its kernel: op(n) returns it, so convolve and
+    convolve_adjoint take either. It holds the kernel's spectrum, not the
+    PsfKernel, so a kernel and its cached operators form no reference cycle.
     """
 
     def __init__(self, kernel: np.ndarray, n: int, single: bool = False):
@@ -285,6 +268,12 @@ class _ConvOperator:
         self._adjoint_hat = None
         self._window = None  # the adjoint's input rows (real) or columns
         self._lattice = None  # their first pass, zero off the window
+
+    def op(self, n: int) -> "_ConvOperator":
+        """This operator, which serves n x n grids only (GridError else)."""
+        if n != self.n:
+            raise GridError(f"operator serves {self.n} x {self.n} grids, got {n}")
+        return self
 
     def spectrum(self, u: np.ndarray) -> np.ndarray:
         """The transform of a grid of at most L rows and columns (an n x n
@@ -348,12 +337,19 @@ def _double(a: np.ndarray) -> np.ndarray:
     return a.astype(np.promote_types(a.dtype, np.float64), copy=False)
 
 
-def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
-    """H * U: zero-padded linear 2-D convolution, central n x n window.
-    The mask must be real."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise GridError(f"mask must be square, got shape {u.shape}")
+def _square(name: str, a) -> np.ndarray:
+    """a as an array, which must be a 2-D square grid (GridError else)."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise GridError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def convolve(kernel: PsfKernel | _ConvOperator, u: np.ndarray) -> np.ndarray:
+    """H * U: zero-padded linear 2-D convolution, central n x n window,
+    by kernel's operator for n x n grids, or by the operator given. The
+    mask must be real."""
+    u = _square("mask", u)
     if np.iscomplexobj(u):
         raise GridError("mask must be real, got complex data")
     return kernel.op(u.shape[0]).forward(u)
@@ -406,10 +402,12 @@ def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     return op.image(_mask_spectrum(op.shape, _MaskKey(u)))
 
 
-def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:
+def convolve_adjoint(kernel: PsfKernel | _ConvOperator,
+                     x: np.ndarray) -> np.ndarray:
     """Re{H^* X}: the adjoint of convolve on real masks (the real part of
-    the correlation with the conjugate kernel)."""
-    x = np.asarray(x)
+    the correlation with the conjugate kernel). X may be complex but must
+    be a square grid."""
+    x = _square("image", x)
     return kernel.op(x.shape[0]).adjoint(x)
 
 

@@ -123,9 +123,9 @@ def augmented_lagrangian(u: np.ndarray, hu: np.ndarray, v: np.ndarray,
             + 0.5 * cfg.rho * sum_squares(resid))
 
 
-def _bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
-                       b: np.ndarray, cfg: SolverConfig, phi_u: np.ndarray,
-                       ) -> tuple[float, np.ndarray, np.ndarray]:
+def bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
+                      b: np.ndarray, cfg: SolverConfig, phi_u: np.ndarray,
+                      ) -> tuple[float, np.ndarray, np.ndarray]:
     """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2 from hu = HU and
     phi_u = Phi(U), returned with the residual HU - W and the split gap
     d - Phi(U) - b so grad_F at U can reuse them. The gap is formed in
@@ -137,21 +137,17 @@ def _bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
     return f, resid, gap
 
 
-def grad_F(u: np.ndarray, w: np.ndarray, d: np.ndarray, b: np.ndarray,
-           cfg: SolverConfig, kernel: PsfKernel,
-           resid: Optional[np.ndarray] = None,
-           gap: Optional[np.ndarray] = None) -> np.ndarray:
+def grad_F(u: np.ndarray, resid: np.ndarray, gap: np.ndarray,
+           cfg: SolverConfig,
+           kernel: PsfKernel | _optics._ConvOperator) -> np.ndarray:
     """Gradient of the Bregman subproblem objective F at U.
 
-    2 Re{H^*(HU - W)} - gamma*beta1 D^T(gap[0], gap[1])
-    + gamma*beta2 gap[2] (2U - 1), with gap = d - Phi(U) - b.
-    The residual resid = HU - W and gap are computed unless both are given.
-    The U-step passes kernel.single, the kernel's single-precision
-    stand-in, so its adjoint runs in single precision.
+    2 Re{H^* resid} - gamma*beta1 D^T(gap[0], gap[1])
+    + gamma*beta2 gap[2] (2U - 1), from bregman_objective's residual
+    resid = HU - W and split gap = d - Phi(U) - b at U. The adjoint runs by
+    kernel's float64 operator, or by the operator given: the U-step's is
+    single precision.
     """
-    if resid is None or gap is None:
-        _, resid, gap = _bregman_objective(convolve(kernel, u), w, d, b, cfg,
-                                           phi(u, cfg.beta1, cfg.beta2))
     grad = 2.0 * convolve_adjoint(kernel, resid)
     # in place, but in the formula's operation order, so the rounding is
     # that of (data - tv) + (gamma*beta2 gap[2]) (2U - 1)
@@ -180,13 +176,14 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     gradient-mapping norm ||U - P(U - t g)||^2 / t^2, which reduces to the
     plain Armijo rule ||g||^2 at interior points), then applies shrinkage
     and the Bregman update. The trial images and the gradient adjoints run
-    through kernel.single, in single precision. Returns (U, HU) for the
-    iterate with the lowest original objective seen, so the value never
-    exceeds the one at u_init; HU is convolve(kernel, U), a float64 image
-    formed once at the end, or hu_init itself when U is u_init.
+    through one operator, kernel.op(n, single=True), in single precision.
+    Returns (U, HU) for the iterate with the lowest original objective
+    seen, so the value never exceeds the one at u_init; HU is
+    convolve(kernel, U), a float64 image formed once at the end, or hu_init
+    itself when U is u_init.
     """
-    single = kernel.single  # the trials' and gradients' operator
     u, hu = np.asarray(u_init, dtype=float), hu_init
+    single = kernel.op(u.shape[0], single=True)  # trials' and gradients'
     phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
     b = np.zeros((3,) + u.shape)
@@ -200,9 +197,9 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an
         # accepted trial carries its own into the next descent step
-        f0, resid, gap = _bregman_objective(hu, w, d, b, cfg, phi_u)
+        f0, resid, gap = bregman_objective(hu, w, d, b, cfg, phi_u)
         for _ in range(cfg.descent_max_iters):
-            g = grad_F(u, w, d, b, cfg, single, resid=resid, gap=gap)
+            g = grad_F(u, resid, gap, cfg, single)
             t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
@@ -214,7 +211,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(single, u_t)
-                f_t, resid_t, gap_t = _bregman_objective(
+                f_t, resid_t, gap_t = bregman_objective(
                     hu_t, w, d, b, cfg, phi(u_t, cfg.beta1, cfg.beta2))
                 if f_t <= f0 - ARMIJO_ALPHA * move_sq / t:
                     u, hu, f0, resid, gap = u_t, hu_t, f_t, resid_t, gap_t

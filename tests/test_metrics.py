@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ilt_admm.grids import GridError, l2_norm
-from ilt_admm.metrics import (epe_error, epe_map, epe_report, evaluate,
-                              mismatch_report)
+from ilt_admm.metrics import epe_error, epe_report, evaluate, mismatch_report
 from ilt_admm.optics import (OpticsConfig, aerial_image, build_psf, convolve,
                              image_threshold)
 from ilt_admm.targets import ten_rectangles
@@ -14,7 +13,7 @@ RNG = np.random.default_rng(5)
 def test_epe_map_counts_differing_pixels():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     b = np.array([[1.0, 1.0], [0.0, 0.0]])
-    m = epe_map(a, b)
+    m = epe_report(a, b).epe
     assert np.array_equal(m, [[0.0, 1.0], [0.0, 1.0]])
     assert epe_error(a, b) == pytest.approx(np.sqrt(2.0))
     # every EPE comes from the one report of the bool map a != b
@@ -31,9 +30,9 @@ def test_epe_identical_patterns_is_zero():
 
 def test_epe_rejects_non_binary_input():
     with pytest.raises(GridError):
-        epe_map(np.full((2, 2), 0.5), np.zeros((2, 2)))
+        epe_report(np.full((2, 2), 0.5), np.zeros((2, 2)))
     with pytest.raises(GridError):
-        epe_map(np.zeros((2, 2)), np.zeros((3, 3)))
+        epe_report(np.zeros((2, 2)), np.zeros((3, 3)))
     with pytest.raises(GridError):
         epe_report(np.zeros((2, 2)), np.full((2, 2), 2.0))
 
@@ -66,7 +65,7 @@ def test_evaluate_empty_mask_prints_nothing():
 def test_evaluate_equals_the_validated_epe_chain():
     # evaluate checks only the target for binarity and counts the EPE map
     # directly; error, pixel count and map must be those of the validated
-    # chain epe_map / l2_norm, bit for bit, on gray masks in and out of focus
+    # chain epe_report / l2_norm, bit for bit, on gray masks in and out of focus
     target = ten_rectangles(64)
     for defocus in (0.0, 50.0):
         cfg = OpticsConfig(kernel_size=20, defocus_nm=defocus)
@@ -75,7 +74,7 @@ def test_evaluate_equals_the_validated_epe_chain():
                                      0.0, 1.0)):
             printed = image_threshold(aerial_image(convolve(kernel, mask)),
                                       cfg.threshold)
-            want = epe_map(printed, target)
+            want = epe_report(printed, target).epe
             report = evaluate(mask, target, cfg, kernel=kernel)
             assert report.error == l2_norm(want)
             assert report.nonzero_epe_pixels == int(np.count_nonzero(want))

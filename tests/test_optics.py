@@ -262,6 +262,21 @@ def test_convolve_rejects_complex_mask():
         convolve(PsfKernel(np.ones((3, 3))), np.ones((4, 4), dtype=complex))
 
 
+def test_convolve_and_adjoint_reject_non_square_input():
+    # a 1-D input would broadcast across the adjoint's window; the adjoint
+    # takes complex input, but only on a square grid, as convolve does
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        for bad in (np.ones(16), np.ones((16, 12)), np.ones((2, 16, 16))):
+            for f in (convolve, convolve_adjoint):
+                with pytest.raises(GridError, match="square"):
+                    f(kernel, bad)
+                with pytest.raises(GridError, match="square"):
+                    f(kernel, bad.astype(complex))
+        square = np.ones((16, 16), complex)
+        assert convolve_adjoint(kernel, square).shape == (16, 16)
+
+
 def test_production_lattices():
     # smallest fast length >= 144 + 100 - 1 - 49 = 194: 5-smooth 200 = 2^3 5^2
     # for the real transforms of a best-focus PSF, 196 = 2^2 7^2 for the
@@ -292,12 +307,14 @@ def test_single_precision_operator_tracks_float64():
     for samples, n in cases:
         kernel = PsfKernel(samples)
         single = kernel.op(n, single=True)
-        assert single is kernel.single.op(n) and single is not kernel.op(n)
+        assert single.op(n) is single and single is not kernel.op(n)
+        with pytest.raises(GridError):  # an operator serves one size only
+            single.op(n + 1)
         assert np.array_equal(single.kernel_hat,
                               kernel.op(n).kernel_hat.astype(np.complex64))
         u, x = RNG.random((n, n)), complex_normal((n, n))
         for _ in range(2):  # the adjoint's kept buffers, reused
-            hu, hx = convolve(kernel.single, u), convolve_adjoint(kernel.single, x)
+            hu, hx = convolve(single, u), convolve_adjoint(single, x)
             want_hu, want_hx = convolve(kernel, u), convolve_adjoint(kernel, x)
             assert hu.dtype == want_hu.dtype  # float64 or complex128
             assert hx.dtype == np.float64
