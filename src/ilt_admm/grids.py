@@ -58,10 +58,12 @@ def project_box(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def sum_squares(x: np.ndarray) -> float:
     """||x||^2, the package's one rule: the sum of the squares of x's real
-    view (re, im interleaved). On real x it is inner(x, x) exactly."""
+    view (re, im interleaved), squared in x's precision and summed in
+    float64. On real float64 x it is inner(x, x) exactly."""
     if np.iscomplexobj(x):
-        x = np.ascontiguousarray(x).view(float)  # any layout, summed in C order
-    return float(np.sum(np.square(x)))
+        x = np.ascontiguousarray(x)  # any layout, summed in C order
+        x = x.view(x.real.dtype)
+    return float(np.sum(np.square(x), dtype=np.float64))
 
 
 def l2_norm(x: np.ndarray) -> float:

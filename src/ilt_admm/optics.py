@@ -234,11 +234,12 @@ class _ConvOperator:
     from _mask_spectrum, which transforms as spectrum does.
 
     A single-precision operator (single=True) runs the same passes on
-    float32/complex64 arrays: the kernel spectrum is built in float64 and
-    then rounded to complex64, the input is rounded to float32 at the first
-    pass, and forward and adjoint return float64 (complex128 for a complex
-    kernel's forward). It agrees with the float64 operator to ~3e-7
-    relative; only the U-step's trial images and gradient adjoints use it.
+    float32/complex64 arrays and returns its own precision: the kernel
+    spectrum is built in float64 and then rounded to complex64, the input
+    is rounded to float32 at the first pass, and forward and adjoint return
+    float32 (complex64 for a complex kernel's forward). It agrees with the
+    float64 operator to ~3e-7 relative; only the U-step, whose state is
+    single precision, uses it.
 
     An operator stands in for its kernel: op(n) returns it, so convolve and
     convolve_adjoint take either. It holds the kernel's spectrum, not the
@@ -287,13 +288,15 @@ class _ConvOperator:
 
     def image(self, u_hat: np.ndarray) -> np.ndarray:
         """forward from the grid's spectrum, which stays unchanged."""
-        return _double(self._inverse(u_hat * self.kernel_hat, self.crop))
+        return self._inverse(u_hat * self.kernel_hat, self.crop)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
-        u_hat = self.spectrum(u.astype(np.float32) if self.single else u)
+        if self.single:
+            u = u.astype(np.float32, copy=False)
+        u_hat = self.spectrum(u)
         u_hat *= self.kernel_hat
-        return _double(self._inverse(u_hat, self.crop))
+        return self._inverse(u_hat, self.crop)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """Re{H^* x}, the exact adjoint of forward on real grids: embed at
@@ -316,7 +319,7 @@ class _ConvOperator:
             self._lattice[:, s:s + n] = sfft.fft(self._window, axis=0)
             y_hat = sfft.fft(self._lattice, axis=1)
         y_hat *= self._adjoint_hat
-        return _double(self._inverse(y_hat, 0).real)
+        return self._inverse(y_hat, 0).real
 
     def _inverse(self, y_hat: np.ndarray, start: int) -> np.ndarray:
         """Rows and columns start:start + n of the inverse transform of the
@@ -330,11 +333,6 @@ class _ConvOperator:
             return out
         rows *= self.scale  # ifft2 scales in its first pass
         return sfft.ifft(rows, axis=1, norm="forward", overwrite_x=True)[:, keep]
-
-
-def _double(a: np.ndarray) -> np.ndarray:
-    """a as float64 or complex128; a itself when it already is."""
-    return a.astype(np.promote_types(a.dtype, np.float64), copy=False)
 
 
 def _square(name: str, a) -> np.ndarray:

@@ -146,7 +146,7 @@ def grad_F(u: np.ndarray, resid: np.ndarray, gap: np.ndarray,
     + gamma*beta2 gap[2] (2U - 1), from bregman_objective's residual
     resid = HU - W and split gap = d - Phi(U) - b at U. The adjoint runs by
     kernel's float64 operator, or by the operator given: the U-step's is
-    single precision.
+    single precision, and so is the gradient it returns.
     """
     grad = 2.0 * convolve_adjoint(kernel, resid)
     # in place, but in the formula's operation order, so the rounding is
@@ -162,6 +162,11 @@ def grad_F(u: np.ndarray, resid: np.ndarray, gap: np.ndarray,
     return grad
 
 
+def _single(a: np.ndarray) -> np.ndarray:
+    """a cast to complex64 when complex, to float32 otherwise."""
+    return a.astype(np.complex64 if np.iscomplexobj(a) else np.float32)
+
+
 def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                  cfg: SolverConfig,
                  kernel: PsfKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -175,24 +180,31 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     applied to every trial point, and the sufficient-decrease test uses the
     gradient-mapping norm ||U - P(U - t g)||^2 / t^2, which reduces to the
     plain Armijo rule ||g||^2 at interior points), then applies shrinkage
-    and the Bregman update. The trial images and the gradient adjoints run
-    through one operator, kernel.op(n, single=True), in single precision.
+    and the Bregman update.
+
+    The state is single precision: u_init, hu_init and W are cast once to
+    float32 (complex64 for a complex image), and U, every trial U_t,
+    Phi(U), d, b, the split gap, the residual HU - W and the gradient stay
+    so, imaged and adjoined by one operator, kernel.op(n, single=True).
+    Every scalar compared (F, the Armijo move ||U - U_t||^2, the original
+    objective) is a float64 sum of single-precision terms.
     Returns (U, HU) for the iterate with the lowest original objective
-    seen, so the value never exceeds the one at u_init; HU is
-    convolve(kernel, U), a float64 image formed once at the end, or hu_init
-    itself when U is u_init.
+    seen, so the value never exceeds the one at u_init: U cast to float64
+    and HU = convolve(kernel, U), a float64 image formed once at the end,
+    or u_init and hu_init themselves when no sweep improved on them.
     """
-    u, hu = np.asarray(u_init, dtype=float), hu_init
-    single = kernel.op(u.shape[0], single=True)  # trials' and gradients'
+    u_init = np.asarray(u_init, dtype=float)
+    u, hu, w = _single(u_init), _single(hu_init), _single(w)
+    single = kernel.op(u.shape[0], single=True)  # the state's operator
     phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
-    b = np.zeros((3,) + u.shape)
+    b = np.zeros_like(phi_u)
 
     def original_objective(uu: np.ndarray, resid: np.ndarray) -> float:
         return (sum_squares(resid)
                 + cfg.beta1 * tv_norm(uu) + cfg.beta2 * binarity_penalty(uu))
 
-    best_u, best_hu, best_val = u, hu, original_objective(u, hu - w)
+    best_u, best_hu, best_val = u_init, hu_init, original_objective(u, hu - w)
 
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an
@@ -231,6 +243,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
         d = shrink(phi_u + b, 1.0 / cfg.gamma)
         b = b + phi_u - d
     if best_hu is None:
+        best_u = best_u.astype(float)
         best_hu = convolve(kernel, best_u)
     return best_u, best_hu
 

@@ -46,6 +46,19 @@ def test_l2_squared_is_self_inner(x, y):
         assert inner(z, y) == pytest.approx(np.vdot(z, y).real, rel=1e-12, abs=1e-9)
 
 
+def test_sum_squares_single_precision():
+    # squared in the input's precision, summed in float64: a complex64
+    # grid is viewed as float32 pairs, not reinterpreted as float64
+    c = np.array([[3 + 4j, 1], [0, 2j]], np.complex64)
+    assert sum_squares(c) == 30.0
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(144, 144))
+    z = x + 1j * rng.normal(size=x.shape)
+    for a, single in ((x, np.float32), (z, np.complex64)):
+        low = a.astype(single)
+        assert sum_squares(low) == pytest.approx(sum_squares(a), rel=1e-6)
+
+
 def test_inner_requires_matching_shapes():
     with pytest.raises(GridError):
         inner(np.zeros((3, 3)), np.zeros((4, 4)))

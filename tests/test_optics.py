@@ -298,9 +298,9 @@ def test_adjoint_reuses_its_lattice_exactly():
 
 
 def test_single_precision_operator_tracks_float64():
-    # the U-step's operator: float32/complex64 inside, float64/complex128
-    # out, within 1e-6 relative of the float64 operator and an exact adjoint
-    # pair to 1e-6; using it leaves the kernel's float64 operator unchanged
+    # the U-step's operator: float32/complex64 inside and out, within 1e-6
+    # relative of the float64 operator and an exact adjoint pair to 1e-6;
+    # using it leaves the kernel's float64 operator unchanged
     cases = [(RNG.normal(size=(6, 6)), 9), (complex_normal((6, 6)), 9)]
     cases += [(build_psf(OpticsConfig(defocus_nm=d)).samples, 144)
               for d in (0.0, 50.0)]
@@ -316,8 +316,8 @@ def test_single_precision_operator_tracks_float64():
         for _ in range(2):  # the adjoint's kept buffers, reused
             hu, hx = convolve(single, u), convolve_adjoint(single, x)
             want_hu, want_hx = convolve(kernel, u), convolve_adjoint(kernel, x)
-            assert hu.dtype == want_hu.dtype  # float64 or complex128
-            assert hx.dtype == np.float64
+            assert hu.dtype == (np.float32 if single.real else np.complex64)
+            assert hx.dtype == np.float32
             assert np.abs(hu - want_hu).max() <= 1e-6 * np.abs(want_hu).max()
             assert np.abs(hx - want_hx).max() <= 1e-6 * np.abs(want_hx).max()
             lhs, rhs = np.vdot(hu, x).real, np.vdot(u, hx)

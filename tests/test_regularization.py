@@ -93,3 +93,53 @@ def test_shrink_is_proximal_contraction(x, kappa):
     assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
     assert np.all(np.abs(x) - np.abs(out) <= kappa + 1e-12)
 
+
+
+def differences_formula(u):
+    """(Dx u, Dy u) formed whole: np.diff, closed by a zero column/row."""
+    n = u.shape[0]
+    return (np.concatenate((np.diff(u, axis=1), np.zeros((n, 1))), axis=1),
+            np.concatenate((np.diff(u, axis=0), np.zeros((1, n))), axis=0))
+
+
+def adjoint_formula(yx, yy):
+    """D^T (yx, yy) formed whole: the negative backward differences along
+    columns plus those along rows, the closure entries ignored."""
+    cols = np.concatenate((-yx[:, :1], -np.diff(yx[:, :-1], axis=1),
+                           yx[:, -2:-1]), axis=1)
+    rows = np.concatenate((-yy[:1], -np.diff(yy[:-1], axis=0), yy[-2:-1]), axis=0)
+    return cols + rows
+
+
+@pytest.mark.parametrize("n", (2, 3, 9))
+def test_maps_follow_their_input_precision(n):
+    # float64 input gives the formulas' bytes, so criterion 2 and the solver
+    # records cannot drift; float32 input, the U-step's, stays float32 and
+    # within 1e-6 of the float64 result on the same values
+    u, yx, yy = RNG.random((n, n)), RNG.normal(size=(n, n)), RNG.normal(size=(n, n))
+    x = RNG.normal(size=(3, n, n))
+    b1, b2, kappa = 0.01, 0.015, 1.0 / 30.0
+    maps = {
+        "diff_forward": (lambda u: np.stack(diff_forward(u)), (u,),
+                         np.stack(differences_formula(u))),
+        "diff_adjoint": (diff_adjoint, (yx, yy), adjoint_formula(yx, yy)),
+        "phi": (lambda u: phi(u, b1, b2), (u,),
+                np.stack([b1 * d for d in differences_formula(u)]
+                         + [b2 * u * (1.0 - u)])),
+        "shrink": (lambda x: shrink(x, kappa), (x,),
+                   np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)),
+    }
+    for name, (f, args, formula) in maps.items():
+        got = f(*args)
+        assert got.dtype == np.float64 and np.array_equal(got, formula), name
+        single = [a.astype(np.float32) for a in args]
+        got = f(*single)
+        want = f(*(a.astype(np.float64) for a in single))
+        assert got.dtype == np.float32, name
+        assert np.abs(got - want).max() <= 1e-6 * max(np.abs(want).max(), 1.0), name
+    # a numpy-scalar threshold (a SolverConfig may hold one) keeps float32
+    assert shrink(x.astype(np.float32), np.float64(kappa)).dtype == np.float32
+    # the norms sum in float64 whatever the input's precision
+    for norm in (tv_norm, binarity_penalty):
+        assert norm(u.astype(np.float32)) == pytest.approx(
+            norm(u.astype(np.float32).astype(np.float64)), rel=1e-6)

@@ -6,7 +6,7 @@ from ilt_admm.grids import inner
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
 from oracles import fd_gradient, v_oracle_min_batch
-from ilt_admm.regularization import binarity_penalty, phi, tv_norm
+from ilt_admm.regularization import binarity_penalty, phi, shrink, tv_norm
 from ilt_admm.solver import (ConvergenceRecord, SolverConfig, admm_optimize,
                              augmented_lagrangian, bregman_objective,
                              check_rho_condition, dual_update,
@@ -418,6 +418,52 @@ def test_u_step_trials_run_in_single_precision(monkeypatch):
         assert double == [("forward", np.complex128)]
         assert calls[-1] == double[0]  # the returned iterate's image
         assert hu.dtype == dtype
+        assert np.array_equal(hu, convolve(kernel, out))
+
+
+def test_u_step_state_stays_single_precision(monkeypatch):
+    # U, every trial, Phi(U), d, b, the residual and the gradient are
+    # float32 (complex64 for a complex image) inside the U-step; the only
+    # float64 image is the returned iterate's, formed last
+    cfg = SolverConfig(bregman_max_iters=3, descent_max_iters=3)
+    u0 = np.full((32, 32), 0.5)
+    u_true = np.zeros((32, 32))
+    u_true[8:24, 10:22] = 1.0
+    singles = {np.dtype(np.float32), np.dtype(np.complex64)}
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        hu0, w = convolve(kernel, u0), convolve(kernel, u_true)
+        seen, images = [], []
+
+        def recording_phi(u, *args):
+            seen.append(("phi", u.dtype))
+            return phi(u, *args)
+
+        def recording_shrink(x, kappa):
+            seen.append(("shrink", x.dtype))
+            return shrink(x, kappa)
+
+        def recording_grad(u, resid, gap, *args):
+            g = grad_F(u, resid, gap, *args)
+            seen.extend(("grad_F", a.dtype) for a in (u, resid, gap, g))
+            return g
+
+        def recording_forward(self, u, _forward=optics._ConvOperator.forward):
+            images.append(u.dtype)
+            return _forward(self, u)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "phi", recording_phi)
+            m.setattr(solver, "shrink", recording_shrink)
+            m.setattr(solver, "grad_F", recording_grad)
+            m.setattr(optics._ConvOperator, "forward", recording_forward)
+            out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
+        assert {name for name, _ in seen} == {"phi", "shrink", "grad_F"}
+        assert {dtype for _, dtype in seen} <= singles, defocus
+        assert len(images) > 1 and set(images[:-1]) == {np.dtype(np.float32)}
+        assert images[-1] == np.float64
+        assert out.dtype == np.float64 and 0.0 <= out.min() <= out.max() <= 1.0
+        assert not np.array_equal(out, u0)
         assert np.array_equal(hu, convolve(kernel, out))
 
 
