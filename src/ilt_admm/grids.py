@@ -59,9 +59,10 @@ def project_box(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sum_squares(x: np.ndarray) -> float:
     """||x||^2, the package's one rule: the sum of the squares of x's real
     view (re, im interleaved), squared in x's precision and summed in
-    float64. On real float64 x it is inner(x, x) exactly."""
+    float64 in C order, whatever x's layout. On a real float64 C-order
+    grid it is inner(x, x) exactly."""
+    x = np.ascontiguousarray(x)
     if np.iscomplexobj(x):
-        x = np.ascontiguousarray(x)  # any layout, summed in C order
         x = x.view(x.real.dtype)
     return float(np.sum(np.square(x), dtype=np.float64))
 

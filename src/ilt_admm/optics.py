@@ -94,8 +94,7 @@ class PsfKernel:
 
     def op(self, n: int, single: bool = False) -> "_ConvOperator":
         """FFT convolution operator for n x n inputs, cached per size and
-        precision: float64 unless single. The operator is itself a handle
-        that convolve and convolve_adjoint accept in the kernel's place."""
+        precision: float64 unless single."""
         if (n, single) not in self._ops:
             self._ops[n, single] = _ConvOperator(self.samples, n, single)
         return self._ops[n, single]
@@ -234,16 +233,15 @@ class _ConvOperator:
     from _mask_spectrum, which transforms as spectrum does.
 
     A single-precision operator (single=True) runs the same passes on
-    float32/complex64 arrays and returns its own precision: the kernel
-    spectrum is built in float64 and then rounded to complex64, the input
-    is rounded to float32 at the first pass, and forward and adjoint return
-    float32 (complex64 for a complex kernel's forward). It agrees with the
-    float64 operator to ~3e-7 relative; only the U-step, whose state is
-    single precision, uses it.
+    float32/complex64 input and returns its precision: the kernel spectrum
+    is built in float64 and then rounded to complex64, and forward and
+    adjoint return float32 (complex64 for a complex kernel's forward). It
+    agrees with the float64 operator to ~3e-7 relative. convolve and
+    convolve_adjoint take it for float32 or complex64 data, so the U-step,
+    whose state is single precision, runs on it.
 
-    An operator stands in for its kernel: op(n) returns it, so convolve and
-    convolve_adjoint take either. It holds the kernel's spectrum, not the
-    PsfKernel, so a kernel and its cached operators form no reference cycle.
+    An operator holds the kernel's spectrum, not the PsfKernel, so a kernel
+    and its cached operators form no reference cycle.
     """
 
     def __init__(self, kernel: np.ndarray, n: int, single: bool = False):
@@ -251,7 +249,6 @@ class _ConvOperator:
         self.n = n
         self.crop = (k - 1) // 2  # central-window offset into the full conv
         self.real = not kernel.imag.any()
-        self.single = single
         # wrap-around lands outside the central window; the kernel must fit.
         # Real transforms get a 5-smooth length: pocketfft's real FFTs take
         # any factor 7 through their slow generic radix.
@@ -270,12 +267,6 @@ class _ConvOperator:
         self._window = None  # the adjoint's input rows (real) or columns
         self._lattice = None  # their first pass, zero off the window
 
-    def op(self, n: int) -> "_ConvOperator":
-        """This operator, which serves n x n grids only (GridError else)."""
-        if n != self.n:
-            raise GridError(f"operator serves {self.n} x {self.n} grids, got {n}")
-        return self
-
     def spectrum(self, u: np.ndarray) -> np.ndarray:
         """The transform of a grid of at most L rows and columns (an n x n
         mask, or a real kernel) on the L x L lattice: half of it (rfft
@@ -292,8 +283,6 @@ class _ConvOperator:
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
-        if self.single:
-            u = u.astype(np.float32, copy=False)
         u_hat = self.spectrum(u)
         u_hat *= self.kernel_hat
         return self._inverse(u_hat, self.crop)
@@ -335,22 +324,24 @@ class _ConvOperator:
         return sfft.ifft(rows, axis=1, norm="forward", overwrite_x=True)[:, keep]
 
 
-def _square(name: str, a) -> np.ndarray:
-    """a as an array, which must be a 2-D square grid (GridError else)."""
+def _operator(kernel: PsfKernel, name: str,
+              a) -> tuple[_ConvOperator, np.ndarray]:
+    """a as an array, which must be a 2-D square grid (GridError else), and
+    kernel's operator for it: single precision for float32 or complex64
+    data, float64 otherwise."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GridError(f"{name} must be square, got shape {a.shape}")
-    return a
+    return kernel.op(a.shape[0], a.dtype in (np.float32, np.complex64)), a
 
 
-def convolve(kernel: PsfKernel | _ConvOperator, u: np.ndarray) -> np.ndarray:
-    """H * U: zero-padded linear 2-D convolution, central n x n window,
-    by kernel's operator for n x n grids, or by the operator given. The
-    mask must be real."""
-    u = _square("mask", u)
+def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
+    """H * U: zero-padded linear 2-D convolution, central n x n window. The
+    mask must be real; a float32 mask convolves in single precision."""
+    op, u = _operator(kernel, "mask", u)
     if np.iscomplexobj(u):
         raise GridError("mask must be real, got complex data")
-    return kernel.op(u.shape[0]).forward(u)
+    return op.forward(u)
 
 
 class _MaskKey:
@@ -400,13 +391,13 @@ def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     return op.image(_mask_spectrum(op.shape, _MaskKey(u)))
 
 
-def convolve_adjoint(kernel: PsfKernel | _ConvOperator,
-                     x: np.ndarray) -> np.ndarray:
+def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:
     """Re{H^* X}: the adjoint of convolve on real masks (the real part of
     the correlation with the conjugate kernel). X may be complex but must
-    be a square grid."""
-    x = _square("image", x)
-    return kernel.op(x.shape[0]).adjoint(x)
+    be a square grid; float32 or complex64 X correlates in single
+    precision and returns float32."""
+    op, x = _operator(kernel, "image", x)
+    return op.adjoint(x)
 
 
 def aerial_image(v: np.ndarray) -> np.ndarray:

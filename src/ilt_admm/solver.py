@@ -138,15 +138,13 @@ def bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
 
 
 def grad_F(u: np.ndarray, resid: np.ndarray, gap: np.ndarray,
-           cfg: SolverConfig,
-           kernel: PsfKernel | _optics._ConvOperator) -> np.ndarray:
+           cfg: SolverConfig, kernel: PsfKernel) -> np.ndarray:
     """Gradient of the Bregman subproblem objective F at U.
 
     2 Re{H^* resid} - gamma*beta1 D^T(gap[0], gap[1])
     + gamma*beta2 gap[2] (2U - 1), from bregman_objective's residual
-    resid = HU - W and split gap = d - Phi(U) - b at U. The adjoint runs by
-    kernel's float64 operator, or by the operator given: the U-step's is
-    single precision, and so is the gradient it returns.
+    resid = HU - W and split gap = d - Phi(U) - b at U. The adjoint runs in
+    resid's precision: the U-step's is single, and so is the gradient.
     """
     grad = 2.0 * convolve_adjoint(kernel, resid)
     # in place, but in the formula's operation order, so the rounding is
@@ -163,7 +161,8 @@ def grad_F(u: np.ndarray, resid: np.ndarray, gap: np.ndarray,
 
 
 def _single(a: np.ndarray) -> np.ndarray:
-    """a cast to complex64 when complex, to float32 otherwise."""
+    """a cast to complex64 when complex, to float32 otherwise: the U-step's
+    precision, which convolve and convolve_adjoint follow."""
     return a.astype(np.complex64 if np.iscomplexobj(a) else np.float32)
 
 
@@ -185,7 +184,8 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     The state is single precision: u_init, hu_init and W are cast once to
     float32 (complex64 for a complex image), and U, every trial U_t,
     Phi(U), d, b, the split gap, the residual HU - W and the gradient stay
-    so, imaged and adjoined by one operator, kernel.op(n, single=True).
+    so, and convolve and convolve_adjoint take the single-precision
+    operator from their dtype.
     Every scalar compared (F, the Armijo move ||U - U_t||^2, the original
     objective) is a float64 sum of single-precision terms.
     Returns (U, HU) for the iterate with the lowest original objective
@@ -195,7 +195,6 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     """
     u_init = np.asarray(u_init, dtype=float)
     u, hu, w = _single(u_init), _single(hu_init), _single(w)
-    single = kernel.op(u.shape[0], single=True)  # the state's operator
     phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
     b = np.zeros_like(phi_u)
@@ -211,7 +210,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
         # accepted trial carries its own into the next descent step
         f0, resid, gap = bregman_objective(hu, w, d, b, cfg, phi_u)
         for _ in range(cfg.descent_max_iters):
-            g = grad_F(u, resid, gap, cfg, single)
+            g = grad_F(u, resid, gap, cfg, kernel)
             t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
@@ -222,7 +221,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                 move_sq = sum_squares(u - u_t)
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
-                hu_t = convolve(single, u_t)
+                hu_t = convolve(kernel, u_t)
                 f_t, resid_t, gap_t = bregman_objective(
                     hu_t, w, d, b, cfg, phi(u_t, cfg.beta1, cfg.beta2))
                 if f_t <= f0 - ARMIJO_ALPHA * move_sq / t:

@@ -298,23 +298,24 @@ def test_adjoint_reuses_its_lattice_exactly():
 
 
 def test_single_precision_operator_tracks_float64():
-    # the U-step's operator: float32/complex64 inside and out, within 1e-6
-    # relative of the float64 operator and an exact adjoint pair to 1e-6;
-    # using it leaves the kernel's float64 operator unchanged
+    # the U-step's operator, which float32/complex64 data selects:
+    # float32/complex64 inside and out, within 1e-6 relative of the float64
+    # operator and an exact adjoint pair to 1e-6; using it leaves the
+    # kernel's float64 operator unchanged
     cases = [(RNG.normal(size=(6, 6)), 9), (complex_normal((6, 6)), 9)]
     cases += [(build_psf(OpticsConfig(defocus_nm=d)).samples, 144)
               for d in (0.0, 50.0)]
     for samples, n in cases:
         kernel = PsfKernel(samples)
         single = kernel.op(n, single=True)
-        assert single.op(n) is single and single is not kernel.op(n)
-        with pytest.raises(GridError):  # an operator serves one size only
-            single.op(n + 1)
+        assert single is not kernel.op(n)
         assert np.array_equal(single.kernel_hat,
                               kernel.op(n).kernel_hat.astype(np.complex64))
         u, x = RNG.random((n, n)), complex_normal((n, n))
+        u_single, x_single = u.astype(np.float32), x.astype(np.complex64)
         for _ in range(2):  # the adjoint's kept buffers, reused
-            hu, hx = convolve(single, u), convolve_adjoint(single, x)
+            hu = convolve(kernel, u_single)
+            hx = convolve_adjoint(kernel, x_single)
             want_hu, want_hx = convolve(kernel, u), convolve_adjoint(kernel, x)
             assert hu.dtype == (np.float32 if single.real else np.complex64)
             assert hx.dtype == np.float32
@@ -326,6 +327,29 @@ def test_single_precision_operator_tracks_float64():
         assert np.array_equal(convolve(kernel, u), convolve(fresh, u))
         assert np.array_equal(convolve_adjoint(kernel, x),
                               convolve_adjoint(fresh, x))
+
+
+def test_precision_follows_the_data():
+    # float32 or complex64 data takes the kernel's single-precision
+    # operator, bit for bit, and returns single precision; float64 or
+    # complex128 data takes the float64 operator, whose bytes stay its own
+    n = 32
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        single, double = kernel.op(n, single=True), kernel.op(n)
+        u = RNG.random((n, n))
+        x = complex_normal((n, n))
+        u32 = u.astype(np.float32)
+        hu = convolve(kernel, u32)
+        assert np.array_equal(hu, single.forward(u32))
+        assert hu.dtype == (np.float32 if single.real else np.complex64)
+        assert np.array_equal(convolve(kernel, u), double.forward(u))
+        for data, dtype in ((u32, np.float32), (x.astype(np.complex64), np.float32),
+                            (u, np.float64), (x, np.float64)):
+            got = convolve_adjoint(kernel, data)
+            assert got.dtype == dtype, (defocus, data.dtype)
+            op = single if dtype == np.float32 else double
+            assert np.array_equal(got, op.adjoint(data)), (defocus, data.dtype)
 
 
 def full_lattice_spectrum(op, samples):

@@ -374,9 +374,9 @@ def test_u_step_reuses_phi_at_each_sweep_start(monkeypatch):
             return phi(*args)
 
         def counted_convolve(k, u):
-            # the Armijo trials image through the kernel's single-precision
-            # operator; a float64 image is the returned iterate's
-            calls["float64" if k is kernel else "trial"] += 1
+            # the Armijo trials image float32 masks; a float64 image is the
+            # returned iterate's
+            calls["float64" if u.dtype == np.float64 else "trial"] += 1
             return convolve(k, u)
 
         with monkeypatch.context() as m:
@@ -390,50 +390,22 @@ def test_u_step_reuses_phi_at_each_sweep_start(monkeypatch):
         assert calls["float64"] <= 1
 
 
-def test_u_step_trials_run_in_single_precision(monkeypatch):
-    # every Armijo trial image and gradient adjoint goes through the
-    # single-precision operator; the image returned is float64, formed
-    # once, and equals the public convolve of the returned mask
-    cfg = SolverConfig(bregman_max_iters=3, descent_max_iters=3)
-    u0 = np.full((32, 32), 0.5)
-    u_true = np.zeros((32, 32))
-    u_true[8:24, 10:22] = 1.0
-    for defocus, dtype in ((0.0, np.float64), (50.0, np.complex128)):
-        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
-        hu0, w = convolve(kernel, u0), convolve(kernel, u_true)
-        assert kernel.op(32, single=True).kernel_hat.dtype == np.complex64
-        calls = []
-        for name in ("forward", "adjoint"):
-            def counted(self, x, _name=name,
-                        _method=getattr(optics._ConvOperator, name)):
-                calls.append((_name, self.kernel_hat.dtype))
-                return _method(self, x)
-            monkeypatch.setattr(optics._ConvOperator, name, counted)
-        out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
-        monkeypatch.undo()
-        assert not np.array_equal(out, u0)
-        single = [c for c in calls if c[1] == np.complex64]
-        double = [c for c in calls if c[1] != np.complex64]
-        assert {c[0] for c in single} == {"forward", "adjoint"}
-        assert double == [("forward", np.complex128)]
-        assert calls[-1] == double[0]  # the returned iterate's image
-        assert hu.dtype == dtype
-        assert np.array_equal(hu, convolve(kernel, out))
-
-
 def test_u_step_state_stays_single_precision(monkeypatch):
     # U, every trial, Phi(U), d, b, the residual and the gradient are
-    # float32 (complex64 for a complex image) inside the U-step; the only
-    # float64 image is the returned iterate's, formed last
+    # float32 (complex64 for a complex image) inside the U-step, and every
+    # Armijo trial image and gradient adjoint runs on the kernel's
+    # single-precision operator; the only float64 image is the returned
+    # iterate's, formed once and last, and it equals the public convolve
+    # of the returned mask
     cfg = SolverConfig(bregman_max_iters=3, descent_max_iters=3)
     u0 = np.full((32, 32), 0.5)
     u_true = np.zeros((32, 32))
     u_true[8:24, 10:22] = 1.0
     singles = {np.dtype(np.float32), np.dtype(np.complex64)}
-    for defocus in (0.0, 50.0):
+    for defocus, image_dtype in ((0.0, np.float64), (50.0, np.complex128)):
         kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
         hu0, w = convolve(kernel, u0), convolve(kernel, u_true)
-        seen, images = [], []
+        seen, calls = [], []
 
         def recording_phi(u, *args):
             seen.append(("phi", u.dtype))
@@ -448,20 +420,32 @@ def test_u_step_state_stays_single_precision(monkeypatch):
             seen.extend(("grad_F", a.dtype) for a in (u, resid, gap, g))
             return g
 
-        def recording_forward(self, u, _forward=optics._ConvOperator.forward):
-            images.append(u.dtype)
-            return _forward(self, u)
+        def recording(name):
+            method = getattr(optics._ConvOperator, name)
+
+            def recorded(self, x):
+                calls.append((name, self.kernel_hat.dtype, x.dtype))
+                return method(self, x)
+            return recorded
 
         with monkeypatch.context() as m:
             m.setattr(solver, "phi", recording_phi)
             m.setattr(solver, "shrink", recording_shrink)
             m.setattr(solver, "grad_F", recording_grad)
-            m.setattr(optics._ConvOperator, "forward", recording_forward)
+            for name in ("forward", "adjoint"):
+                m.setattr(optics._ConvOperator, name, recording(name))
             out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
         assert {name for name, _ in seen} == {"phi", "shrink", "grad_F"}
         assert {dtype for _, dtype in seen} <= singles, defocus
-        assert len(images) > 1 and set(images[:-1]) == {np.dtype(np.float32)}
-        assert images[-1] == np.float64
+        *trials, last = calls
+        assert {name for name, _, _ in trials} == {"forward", "adjoint"}
+        assert {spectrum for _, spectrum, _ in trials} == {np.dtype(np.complex64)}
+        assert {dtype for name, _, dtype in trials
+                if name == "forward"} == {np.dtype(np.float32)}
+        assert {dtype for name, _, dtype in trials
+                if name == "adjoint"} <= singles
+        assert last == ("forward", np.complex128, np.float64)
+        assert hu.dtype == image_dtype
         assert out.dtype == np.float64 and 0.0 <= out.min() <= out.max() <= 1.0
         assert not np.array_equal(out, u0)
         assert np.array_equal(hu, convolve(kernel, out))
