@@ -390,64 +390,80 @@ def test_u_step_reuses_phi_at_each_sweep_start(monkeypatch):
         assert calls["float64"] <= 1
 
 
-def test_u_step_state_stays_single_precision(monkeypatch):
-    # U, every trial, Phi(U), d, b, the residual and the gradient are
-    # float32 (complex64 for a complex image) inside the U-step, and every
-    # Armijo trial image and gradient adjoint runs on the kernel's
-    # single-precision operator; the only float64 image is the returned
-    # iterate's, formed once and last, and it equals the public convolve
-    # of the returned mask
+SINGLES = {np.dtype(np.float32), np.dtype(np.complex64)}
+
+
+def _recorded_u_step(monkeypatch, defocus):
+    # one gray-start U-step toward a pattern's image; records the dtype of
+    # every Phi, shrink and gradient input and output, and the spectrum and
+    # input dtype of every operator call
     cfg = SolverConfig(bregman_max_iters=3, descent_max_iters=3)
     u0 = np.full((32, 32), 0.5)
     u_true = np.zeros((32, 32))
     u_true[8:24, 10:22] = 1.0
-    singles = {np.dtype(np.float32), np.dtype(np.complex64)}
-    for defocus, image_dtype in ((0.0, np.float64), (50.0, np.complex128)):
-        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
-        hu0, w = convolve(kernel, u0), convolve(kernel, u_true)
-        seen, calls = [], []
+    kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+    hu0, w = convolve(kernel, u0), convolve(kernel, u_true)
+    seen, calls = [], []
 
-        def recording_phi(u, *args):
-            seen.append(("phi", u.dtype))
-            return phi(u, *args)
+    def recording_phi(u, *args):
+        seen.append(("phi", u.dtype))
+        return phi(u, *args)
 
-        def recording_shrink(x, kappa):
-            seen.append(("shrink", x.dtype))
-            return shrink(x, kappa)
+    def recording_shrink(x, kappa):
+        seen.append(("shrink", x.dtype))
+        return shrink(x, kappa)
 
-        def recording_grad(u, resid, gap, *args):
-            g = grad_F(u, resid, gap, *args)
-            seen.extend(("grad_F", a.dtype) for a in (u, resid, gap, g))
-            return g
+    def recording_grad(u, resid, gap, *args):
+        g = grad_F(u, resid, gap, *args)
+        seen.extend(("grad_F", a.dtype) for a in (u, resid, gap, g))
+        return g
 
-        def recording(name):
-            method = getattr(optics._ConvOperator, name)
+    def recording(name):
+        method = getattr(optics._ConvOperator, name)
 
-            def recorded(self, x):
-                calls.append((name, self.kernel_hat.dtype, x.dtype))
-                return method(self, x)
-            return recorded
+        def recorded(self, x):
+            calls.append((name, self.kernel_hat.dtype, x.dtype))
+            return method(self, x)
+        return recorded
 
-        with monkeypatch.context() as m:
-            m.setattr(solver, "phi", recording_phi)
-            m.setattr(solver, "shrink", recording_shrink)
-            m.setattr(solver, "grad_F", recording_grad)
-            for name in ("forward", "adjoint"):
-                m.setattr(optics._ConvOperator, name, recording(name))
-            out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "phi", recording_phi)
+        m.setattr(solver, "shrink", recording_shrink)
+        m.setattr(solver, "grad_F", recording_grad)
+        for name in ("forward", "adjoint"):
+            m.setattr(optics._ConvOperator, name, recording(name))
+        out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
+    assert not np.array_equal(out, u0)
+    return kernel, seen, calls, out, hu
+
+
+def test_u_step_state_stays_single_precision(monkeypatch):
+    # U, every trial, Phi(U), d, b, the residual and the gradient are
+    # float32 (complex64 for a complex image) inside the U-step; U comes
+    # back float64 in [0, 1]
+    for defocus in (0.0, 50.0):
+        _, seen, _, out, _ = _recorded_u_step(monkeypatch, defocus)
         assert {name for name, _ in seen} == {"phi", "shrink", "grad_F"}
-        assert {dtype for _, dtype in seen} <= singles, defocus
+        assert {dtype for _, dtype in seen} <= SINGLES, defocus
+        assert out.dtype == np.float64 and 0.0 <= out.min() <= out.max() <= 1.0
+
+
+def test_u_step_trials_run_in_single_precision(monkeypatch):
+    # every Armijo trial image and gradient adjoint runs on the kernel's
+    # single-precision operator; the only float64 image is the returned
+    # iterate's, formed once and last, and it equals the public convolve
+    # of the returned mask
+    for defocus, image_dtype in ((0.0, np.float64), (50.0, np.complex128)):
+        kernel, _, calls, out, hu = _recorded_u_step(monkeypatch, defocus)
         *trials, last = calls
         assert {name for name, _, _ in trials} == {"forward", "adjoint"}
         assert {spectrum for _, spectrum, _ in trials} == {np.dtype(np.complex64)}
         assert {dtype for name, _, dtype in trials
                 if name == "forward"} == {np.dtype(np.float32)}
         assert {dtype for name, _, dtype in trials
-                if name == "adjoint"} <= singles
+                if name == "adjoint"} <= SINGLES
         assert last == ("forward", np.complex128, np.float64)
         assert hu.dtype == image_dtype
-        assert out.dtype == np.float64 and 0.0 <= out.min() <= out.max() <= 1.0
-        assert not np.array_equal(out, u0)
         assert np.array_equal(hu, convolve(kernel, out))
 
 
