@@ -59,8 +59,8 @@ def project_box(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sum_squares(x: np.ndarray) -> float:
     """||x||^2, the package's one rule: the sum of the squares of x's real
     view (re, im interleaved), squared in x's precision and summed in
-    float64 in C order, whatever x's layout. On a real float64 C-order
-    grid it is inner(x, x) exactly."""
+    float64 in C order, whatever x's layout. On a real float64 grid it is
+    inner(x, x) exactly."""
     x = np.ascontiguousarray(x)
     if np.iscomplexobj(x):
         x = x.view(x.real.dtype)
@@ -72,9 +72,10 @@ def l2_norm(x: np.ndarray) -> float:
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of the Hermitian inner product <a, b>."""
+    """Real part of the Hermitian inner product <a, b>, its products summed
+    in C order whatever a's and b's layout, as sum_squares sums."""
     check_same_shape(a, b)
-    total = np.sum(a.real * b.real)
+    total = np.sum(np.multiply(a.real, b.real, order="C"))
     if np.iscomplexobj(a) and np.iscomplexobj(b):
-        total += np.sum(a.imag * b.imag)
+        total += np.sum(np.multiply(a.imag, b.imag, order="C"))
     return float(total)

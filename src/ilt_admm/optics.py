@@ -211,16 +211,21 @@ class _ConvOperator:
     convolution equals linear convolution over the central n x n window:
     5-smooth for a real kernel, which convolves by real-input transforms and
     returns a real image, 11-smooth for any other kernel, which takes
-    complex transforms. Each 2-D transform runs as two 1-D passes that skip
-    rows whose result is known or discarded: the first pass covers only the
-    n rows (or, in the complex adjoint, columns) that hold input, and the
-    last inverse pass only the n rows the crop keeps. The passes keep
-    pocketfft's order and scaling point (rfft2 takes the last axis first;
-    irfft2, fft2 and ifft2 take axis 0 first; irfft2 applies 1/L^2 in its
-    last pass, ifft2 in its first), so the results are those of the whole
-    2-D transforms bit for bit. A complex kernel's forward keeps fft2 whole:
-    it fills the Hermitian half of a real mask's spectrum its own way. The
-    adjoint builds its conjugate spectrum and input buffers on first call.
+    complex transforms.
+
+    Every transform the operator takes, of its kernel, of a mask and of an
+    adjoint's input, is spectrum's: the grid placed at row and column `at`
+    of the zero L x L lattice (0 for the kernel and a mask, the crop offset
+    for an adjoint's input) and transformed by two 1-D passes, the first of
+    which covers only the rows (real kernel) or columns (complex kernel)
+    that hold the grid. The one exception is a real grid at 0 under a
+    complex kernel: it takes the whole fft2, which fills the Hermitian half
+    of its spectrum its own way. The inverse's last pass computes only the
+    n rows the crop keeps. The passes keep pocketfft's order and scaling
+    point (rfft2 takes the last axis first; irfft2, fft2 and ifft2 take
+    axis 0 first; irfft2 applies 1/L^2 in its last pass, ifft2 in its
+    first), so the results are those of the whole 2-D transforms bit for
+    bit.
 
     A kernel is real when its imaginary part is exactly 0.0, as build_psf's
     is at best focus; an imaginary part, however small, takes the complex
@@ -240,8 +245,10 @@ class _ConvOperator:
     convolve_adjoint take it for float32 or complex64 data, so the U-step,
     whose state is single precision, runs on it.
 
-    An operator holds the kernel's spectrum, not the PsfKernel, so a kernel
-    and its cached operators form no reference cycle.
+    An operator holds the kernel's spectrum and, after its first adjoint,
+    that spectrum's conjugate: no scratch buffers, so no call depends on an
+    earlier one. It holds no PsfKernel, so a kernel and its cached
+    operators form no reference cycle.
     """
 
     def __init__(self, kernel: np.ndarray, n: int, single: bool = False):
@@ -255,27 +262,29 @@ class _ConvOperator:
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
         self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
-        # the kernel's spectrum by the pruned passes: the first covers only
-        # the k rows (columns, for fft2's axis-0 pass) that hold the kernel
-        if self.real:
-            kernel_hat = self.spectrum(kernel.real)
-        else:
-            cols = sfft.fft(kernel, size, axis=0)
-            kernel_hat = sfft.fft(cols, size, axis=1)
+        kernel_hat = self.spectrum(kernel.real if self.real else kernel)
         self.kernel_hat = kernel_hat.astype(np.complex64) if single else kernel_hat
         self._adjoint_hat = None
-        self._window = None  # the adjoint's input rows (real) or columns
-        self._lattice = None  # their first pass, zero off the window
 
-    def spectrum(self, u: np.ndarray) -> np.ndarray:
-        """The transform of a grid of at most L rows and columns (an n x n
-        mask, or a real kernel) on the L x L lattice: half of it (rfft
-        layout) for a real kernel, all of it for a complex one."""
-        size = self.shape[0]
+    def spectrum(self, u: np.ndarray, at: int = 0) -> np.ndarray:
+        """The transform of a grid placed at row and column at of a fresh
+        zero L x L lattice, by the passes the class states: half of it
+        (rfft layout) for a real kernel, all of it for a complex one."""
+        size, (rows, cols) = self.shape[0], u.shape
+        hat = np.result_type(u, np.complex64)
         if self.real:
-            rows = sfft.rfft(u, size, axis=1)  # only the rows that hold input
-            return sfft.fft(rows, size, axis=0, overwrite_x=True)
-        return sfft.fft2(u, self.shape)
+            window = np.zeros((rows, size), u.real.dtype)
+            window[:, at:at + cols] = u.real
+            lattice = np.zeros((size, size // 2 + 1), hat)
+            lattice[at:at + rows] = sfft.rfft(window, axis=1)
+            return sfft.fft(lattice, axis=0, overwrite_x=True)
+        if at == 0 and not np.iscomplexobj(u):
+            return sfft.fft2(u, self.shape)
+        window = np.zeros((size, cols), hat)
+        window[at:at + rows] = u
+        lattice = np.zeros(self.shape, hat)
+        lattice[:, at:at + cols] = sfft.fft(window, axis=0)
+        return sfft.fft(lattice, axis=1, overwrite_x=True)
 
     def image(self, u_hat: np.ndarray) -> np.ndarray:
         """forward from the grid's spectrum, which stays unchanged."""
@@ -288,25 +297,13 @@ class _ConvOperator:
         return self._inverse(u_hat, self.crop)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """Re{H^* x}, the exact adjoint of forward on real grids: embed at
-        the crop offset, multiply by the conjugate spectrum, crop at the
-        origin. A real kernel correlates Re x only, since
-        Re{H^* x} = H^T Re x."""
-        s, n, size = self.crop, self.n, self.shape[0]
+        """Re{H^* x}, the exact adjoint of forward on real grids: the
+        spectrum of x at the crop offset times the conjugate kernel
+        spectrum, inverted and cropped at the origin. A real kernel
+        correlates Re x only, since Re{H^* x} = H^T Re x."""
         if self._adjoint_hat is None:
             self._adjoint_hat = np.conj(self.kernel_hat)
-            self._lattice = np.zeros(self.kernel_hat.shape, self.kernel_hat.dtype)
-            self._window = np.zeros((n, size) if self.real else (size, n),
-                                    self.kernel_hat.real.dtype if self.real
-                                    else self.kernel_hat.dtype)
-        if self.real:
-            self._window[:, s:s + n] = x.real
-            self._lattice[s:s + n] = sfft.rfft(self._window, axis=1)
-            y_hat = sfft.fft(self._lattice, axis=0)
-        else:
-            self._window[s:s + n] = x
-            self._lattice[:, s:s + n] = sfft.fft(self._window, axis=0)
-            y_hat = sfft.fft(self._lattice, axis=1)
+        y_hat = self.spectrum(x, self.crop)
         y_hat *= self._adjoint_hat
         return self._inverse(y_hat, 0).real
 
@@ -370,8 +367,9 @@ class _MaskKey:
 # ~0.78 MB: the 614 KB spectrum and the 166 KB key.
 @functools.lru_cache(maxsize=16)
 def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
-    """The read-only fft2 of the float64 mask in key on the lattice shape,
-    as a complex-kernel _ConvOperator.spectrum takes it."""
+    """The read-only fft2 of the float64 mask in key on the lattice shape:
+    a complex-kernel _ConvOperator.spectrum's one whole-lattice transform,
+    that of a real grid at offset 0, taken the same way."""
     u_hat = sfft.fft2(np.frombuffer(key.bits).reshape(key.shape), shape)
     u_hat.flags.writeable = False
     return u_hat

@@ -61,14 +61,17 @@ def test_sum_squares_single_precision():
 
 def test_sum_squares_sums_in_c_order_whatever_the_layout():
     # real input is summed in C order, as complex input is: a transpose
-    # and its C-order copy give the same bits. Summed in memory order, a
-    # transpose's sum differs from its copy's in the last bit on some grids
-    # (here, the first uniform grid in both precisions)
+    # and its C-order copy give the same bits, for sum_squares and for
+    # inner. Summed in memory order, a transpose's sum differs from its
+    # copy's in the last bit on some grids (here, the first uniform grid
+    # in both precisions, and for inner the first uniform float64 one)
     rng = np.random.default_rng(11)
     for _ in range(4):
         for x in (rng.normal(size=(144, 144)), rng.random((144, 144))):
             for a in (x, x.astype(np.float32)):
                 assert sum_squares(a.T) == sum_squares(a.T.copy()), a.dtype
+            assert inner(x.T, x.T) == inner(x.T.copy(), x.T.copy())
+            assert inner(x.T, x.T) == sum_squares(x.T)
 
 
 def test_inner_requires_matching_shapes():

@@ -285,9 +285,10 @@ def test_production_lattices():
     assert build_psf(OpticsConfig(defocus_nm=50.0)).op(144).shape == (196, 196)
 
 
-def test_adjoint_reuses_its_lattice_exactly():
-    # the adjoint embeds each input in one lattice it keeps zero off the
-    # window: a second call must equal a fresh operator's first call
+def test_adjoint_carries_no_state_between_calls():
+    # the adjoint places each input on a fresh zeroed lattice, so nothing
+    # of one call reaches the next: a second call must equal a fresh
+    # operator's first call
     n = 9
     for samples in (RNG.normal(size=(6, 6)), complex_normal((6, 6))):
         kernel = PsfKernel(samples)
@@ -313,7 +314,7 @@ def test_single_precision_operator_tracks_float64():
                               kernel.op(n).kernel_hat.astype(np.complex64))
         u, x = RNG.random((n, n)), complex_normal((n, n))
         u_single, x_single = u.astype(np.float32), x.astype(np.complex64)
-        for _ in range(2):  # the adjoint's kept buffers, reused
+        for _ in range(2):  # a second call as the first
             hu = convolve(kernel, u_single)
             hx = convolve_adjoint(kernel, x_single)
             want_hu, want_hx = convolve(kernel, u), convolve_adjoint(kernel, x)
@@ -375,7 +376,9 @@ def full_lattice_convolution(op, samples, y, start, adjoint):
 def test_pruned_passes_equal_full_lattice_transforms():
     # the operator skips the FFT rows that hold no input or are cropped
     # away; its results must still be the whole 2-D transforms' bit for bit,
-    # on a second call (kept buffers reused) as on the first
+    # on a second call as on the first, and for a real adjoint input as
+    # for a complex one: a complex kernel transforms a real residual at the
+    # crop offset, not as a mask at the origin
     cases = [(PsfKernel(samples), n) for k, n in LATTICE_CASES
              for samples in (RNG.normal(size=(k, k)), complex_normal((k, k)))]
     cases += [(build_psf(OpticsConfig(defocus_nm=d)), 144) for d in (0.0, 50.0)]
@@ -386,11 +389,13 @@ def test_pruned_passes_equal_full_lattice_transforms():
             u, x = RNG.random((n, n)), complex_normal((n, n))
             want = full_lattice_convolution(op, kernel.samples, u, s, adjoint=False)
             assert np.array_equal(convolve(kernel, u), want), (op.shape, n)
-            y = np.zeros(op.shape, dtype=float if op.real else complex)
-            y[s:s + n, s:s + n] = x.real if op.real else x
-            want = full_lattice_convolution(op, kernel.samples, y, 0,
-                                            adjoint=True).real
-            assert np.array_equal(convolve_adjoint(kernel, x), want), (op.shape, n)
+            for data in (x, x.real):
+                y = np.zeros(op.shape, dtype=float if op.real else complex)
+                y[s:s + n, s:s + n] = data.real if op.real else data
+                want = full_lattice_convolution(op, kernel.samples, y, 0,
+                                                adjoint=True).real
+                got = convolve_adjoint(kernel, data)
+                assert np.array_equal(got, want), (op.shape, n, data.dtype)
 
 
 def test_kernel_spectrum_equals_full_lattice_transform():
