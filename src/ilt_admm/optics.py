@@ -203,6 +203,30 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     return PsfKernel(samples=h, config=cfg)
 
 
+def _spectrum(u: np.ndarray, shape: tuple[int, int], real: bool,
+              at: int = 0) -> np.ndarray:
+    """The transform of a grid placed at row and column at of a fresh zero
+    lattice of the square shape, by the passes _ConvOperator states for a
+    real kernel (real) or a complex one: half of it (rfft layout) or all
+    of it. Every spectrum the package takes, the operators' and
+    _mask_spectrum's, is this routine's."""
+    size, (rows, cols) = shape[0], u.shape
+    hat = np.result_type(u, np.complex64)
+    if real:
+        window = np.zeros((rows, size), u.real.dtype)
+        window[:, at:at + cols] = u.real
+        lattice = np.zeros((size, size // 2 + 1), hat)
+        lattice[at:at + rows] = sfft.rfft(window, axis=1)
+        return sfft.fft(lattice, axis=0, overwrite_x=True)
+    if at == 0 and not np.iscomplexobj(u):
+        return sfft.fft2(u, shape)
+    window = np.zeros((size, cols), hat)
+    window[at:at + rows] = u
+    lattice = np.zeros(shape, hat)
+    lattice[:, at:at + cols] = sfft.fft(window, axis=0)
+    return sfft.fft(lattice, axis=1, overwrite_x=True)
+
+
 class _ConvOperator:
     """Zero-padded linear convolution with a fixed kernel and input size,
     plus its exact adjoint (correlation with the conjugate kernel).
@@ -214,7 +238,7 @@ class _ConvOperator:
     complex transforms.
 
     Every transform the operator takes, of its kernel, of a mask and of an
-    adjoint's input, is spectrum's: the grid placed at row and column `at`
+    adjoint's input, is _spectrum's: the grid placed at row and column `at`
     of the zero L x L lattice (0 for the kernel and a mask, the crop offset
     for an adjoint's input) and transformed by two 1-D passes, the first of
     which covers only the rows (real kernel) or columns (complex kernel)
@@ -231,11 +255,11 @@ class _ConvOperator:
     is at best focus; an imaginary part, however small, takes the complex
     path and stays in the image.
 
-    forward is spectrum (the mask's transform) followed by image (the
+    forward is _spectrum (the mask's transform) followed by image (the
     kernel product and the pruned inverse), fused in place. image leaves
     the spectrum it is given untouched, so one spectrum can serve every
     kernel on the same lattice: convolve_cached takes a complex kernel's
-    from _mask_spectrum, which transforms as spectrum does.
+    from _mask_spectrum, which transforms by _spectrum too.
 
     A single-precision operator (single=True) runs the same passes on
     float32/complex64 input and returns its precision: the kernel spectrum
@@ -262,29 +286,10 @@ class _ConvOperator:
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
         self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
-        kernel_hat = self.spectrum(kernel.real if self.real else kernel)
+        kernel_hat = _spectrum(kernel.real if self.real else kernel, self.shape,
+                               self.real)
         self.kernel_hat = kernel_hat.astype(np.complex64) if single else kernel_hat
         self._adjoint_hat = None
-
-    def spectrum(self, u: np.ndarray, at: int = 0) -> np.ndarray:
-        """The transform of a grid placed at row and column at of a fresh
-        zero L x L lattice, by the passes the class states: half of it
-        (rfft layout) for a real kernel, all of it for a complex one."""
-        size, (rows, cols) = self.shape[0], u.shape
-        hat = np.result_type(u, np.complex64)
-        if self.real:
-            window = np.zeros((rows, size), u.real.dtype)
-            window[:, at:at + cols] = u.real
-            lattice = np.zeros((size, size // 2 + 1), hat)
-            lattice[at:at + rows] = sfft.rfft(window, axis=1)
-            return sfft.fft(lattice, axis=0, overwrite_x=True)
-        if at == 0 and not np.iscomplexobj(u):
-            return sfft.fft2(u, self.shape)
-        window = np.zeros((size, cols), hat)
-        window[at:at + rows] = u
-        lattice = np.zeros(self.shape, hat)
-        lattice[:, at:at + cols] = sfft.fft(window, axis=0)
-        return sfft.fft(lattice, axis=1, overwrite_x=True)
 
     def image(self, u_hat: np.ndarray) -> np.ndarray:
         """forward from the grid's spectrum, which stays unchanged."""
@@ -292,7 +297,7 @@ class _ConvOperator:
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
-        u_hat = self.spectrum(u)
+        u_hat = _spectrum(u, self.shape, self.real)
         u_hat *= self.kernel_hat
         return self._inverse(u_hat, self.crop)
 
@@ -303,7 +308,7 @@ class _ConvOperator:
         correlates Re x only, since Re{H^* x} = H^T Re x."""
         if self._adjoint_hat is None:
             self._adjoint_hat = np.conj(self.kernel_hat)
-        y_hat = self.spectrum(x, self.crop)
+        y_hat = _spectrum(x, self.shape, self.real, self.crop)
         y_hat *= self._adjoint_hat
         return self._inverse(y_hat, 0).real
 
@@ -367,10 +372,10 @@ class _MaskKey:
 # ~0.78 MB: the 614 KB spectrum and the 166 KB key.
 @functools.lru_cache(maxsize=16)
 def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
-    """The read-only fft2 of the float64 mask in key on the lattice shape:
-    a complex-kernel _ConvOperator.spectrum's one whole-lattice transform,
-    that of a real grid at offset 0, taken the same way."""
-    u_hat = sfft.fft2(np.frombuffer(key.bits).reshape(key.shape), shape)
+    """The read-only complex-kernel _spectrum of the float64 mask in key
+    on the lattice shape: a complex kernel's operator takes the same
+    transform of the mask."""
+    u_hat = _spectrum(np.frombuffer(key.bits).reshape(key.shape), shape, False)
     u_hat.flags.writeable = False
     return u_hat
 
@@ -400,7 +405,9 @@ def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:
 
 def aerial_image(v: np.ndarray) -> np.ndarray:
     """|H*U|^2: elementwise squared modulus of the convolved field."""
-    return np.abs(np.asarray(v)) ** 2
+    a = np.abs(np.asarray(v))
+    np.square(a, out=a)  # in place: |v| ** 2 bit for bit, one array fewer
+    return a
 
 
 def image_sigmoid(ia: np.ndarray, a: float, tr: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """The benchmark in perfbench/ reaches into the package by name: the tracer
-looks up each layer function with getattr, and the solver workloads build
-SolverConfig from keyword pairs. A rename or removal in the package breaks
-those runs without failing any other test, so this file checks the names,
-and that the traced layers still see every convolution the solver makes.
+looks up each layer function with getattr, the solver workloads build
+SolverConfig from keyword pairs, and the process-window workload reads
+each report's error and EPE map. A rename or removal in the package breaks
+those runs without failing any other test, so this file checks the names
+and the report fields, and that the traced layers still see every
+convolution the solver makes.
 The perfbench files are only read, never changed."""
 
 import dataclasses
@@ -10,6 +12,8 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import ilt_admm
 from ilt_admm import optics
@@ -47,6 +51,29 @@ def test_workload_solver_keys_are_config_fields(monkeypatch):
     for w in solver_workloads:
         keys = {key for key, _ in w.solver_args}
         assert keys <= fields, (w.name, keys - fields)
+
+
+def test_process_window_reads_report_fields(monkeypatch):
+    # the sweep keeps report.error for every image and checks report.epe
+    # of the sampled ones against an independent reference; a shortened
+    # sweep of one binary and one gray mask runs the same code
+    workloads = _load("workloads", monkeypatch)
+    monkeypatch.setattr(workloads, "DEFOCUS_SWEEP_NM", (0.0, 50.0))
+    target = ten_rectangles(workloads.N)
+    gray = np.clip(target + 0.3 * np.random.default_rng(3).normal(
+        size=target.shape), 0.0, 1.0)
+    workload = workloads.WORKLOADS["process_window"]
+    case = workloads.WindowCase([(target, target), (gray, target)])
+    workload.warm_up(case)
+    sample = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    result = workload.run(case, workloads.no_span, sample)
+    assert len(result.sampled) == len(sample)
+    for _, _, _, report in result.sampled:
+        assert type(report.error) is float
+        assert report.epe.dtype == np.float64
+        assert report.epe.shape == target.shape
+    assert all(type(e) is float for e in result.errors)
+    assert workload.check(case, result)[:2] == (4, 0)  # (attempted, failed)
 
 
 def test_tracer_sees_every_solver_convolution(monkeypatch):

@@ -82,6 +82,28 @@ def test_evaluate_equals_the_validated_epe_chain():
             assert report.epe.dtype == want.dtype
 
 
+def test_evaluate_report_keeps_the_bool_map():
+    # a report holds printed != target as one byte per pixel; epe is the
+    # 0/1 float64 map of it, bit for bit, built afresh on every access
+    target = ten_rectangles(144)
+    gray = np.clip(target + 0.4 * RNG.normal(size=target.shape), 0.0, 1.0)
+    for defocus in (0.0, 50.0):
+        cfg = OpticsConfig(defocus_nm=defocus)
+        kernel = build_psf(cfg)
+        for mask in (target, gray):
+            printed = image_threshold(aerial_image(convolve(kernel, mask)),
+                                      cfg.threshold)
+            want = (printed != target).astype(float)
+            report = evaluate(mask, target, cfg, kernel=kernel)
+            assert report.missed.dtype == bool
+            assert report.missed.nbytes == target.size
+            epe = report.epe
+            assert epe.dtype == np.float64
+            assert epe.tobytes() == want.tobytes()
+            epe[...] = 7.0
+            assert report.epe.tobytes() == want.tobytes()
+
+
 def test_evaluate_rejects_bad_grids():
     cfg = OpticsConfig(kernel_size=20)
     target = ten_rectangles(64)

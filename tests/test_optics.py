@@ -518,6 +518,15 @@ def test_aerial_image():
     assert np.all(aerial_image(np.zeros((3, 3), complex)) == 0.0)
     v = np.array([[3.0 + 4.0j]])
     assert aerial_image(v)[0, 0] == pytest.approx(25.0)
+    # squared in place, it is |v| ** 2 bit for bit in v's real precision,
+    # and v is left alone
+    z = RNG.normal(size=(16, 16)) + 1j * RNG.normal(size=(16, 16))
+    for v in (z, z.real, z.astype(np.complex64), z.real.astype(np.float32)):
+        before = v.copy()
+        got = aerial_image(v)
+        want = np.abs(v) ** 2
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert v.tobytes() == before.tobytes()
 
 
 def test_open_area_images_to_unit_intensity():
