@@ -67,6 +67,12 @@ def sum_squares(x: np.ndarray) -> float:
     return float(np.sum(np.square(x), dtype=np.float64))
 
 
+def l1_norm(x: np.ndarray) -> float:
+    """||x||_1, the package's one rule: |x| taken in x's precision and
+    summed in float64 in C order, whatever x's layout."""
+    return float(np.sum(np.abs(np.ascontiguousarray(x)), dtype=np.float64))
+
+
 def l2_norm(x: np.ndarray) -> float:
     return math.sqrt(sum_squares(x))
 

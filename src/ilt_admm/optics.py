@@ -381,14 +381,17 @@ def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
 
 
 def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
-    """convolve(kernel, u) bit for bit, for a mask the caller has checked:
-    a real float64 n x n grid. A complex kernel takes the mask's spectrum
-    from _mask_spectrum's LRU, shared by every kernel on the same lattice,
-    so a mask imaged at many focus settings is transformed once. A real
-    kernel convolves as convolve does: its half spectrum would evict the
-    complex ones of a focus sweep at every pass.
+    """convolve(kernel, u) bit for bit, for a real float64 n x n grid;
+    anything else raises GridError. A complex kernel takes the mask's
+    spectrum from _mask_spectrum's LRU, shared by every kernel on the same
+    lattice, so a mask imaged at many focus settings is transformed once. A
+    real kernel convolves as convolve does: its half spectrum would evict
+    the complex ones of a focus sweep at every pass.
     """
-    op = kernel.op(u.shape[0])
+    u = np.asarray(u)
+    if u.dtype != np.float64:  # the key's bytes are read back as float64
+        raise GridError(f"cached masks must be float64, got {u.dtype}")
+    op, u = _operator(kernel, "mask", u)
     if op.real:
         return op.forward(u)
     return op.image(_mask_spectrum(op.shape, _MaskKey(u)))

@@ -15,11 +15,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import optics as _optics
-from .grids import as_binary, inner, l2_norm, project_box, sum_squares
+from .grids import as_binary, inner, l1_norm, l2_norm, project_box, sum_squares
 from .metrics import epe_error
 from .optics import (PsfKernel, aerial_image, check_settings, convolve,
                      convolve_adjoint, image_sigmoid)
-from .regularization import binarity_penalty, diff_adjoint, phi, shrink, tv_norm
+from .regularization import diff_adjoint, phi, shrink
 
 # Projected Armijo search of the U-step: sufficient-decrease factor in
 # (0, 0.5), backtracking factor in (0, 1), and the first trial step.
@@ -113,12 +113,12 @@ def check_rho_condition(rho: float, l_h: float) -> bool:
 def augmented_lagrangian(u: np.ndarray, hu: np.ndarray, v: np.ndarray,
                          p: np.ndarray, target: np.ndarray, a: float, tr: float,
                          cfg: SolverConfig) -> float:
-    """h_a(V) + beta1 ||DU||_1 + beta2 ||U(1-U)||_1 + <P, V - HU>
-    + (rho/2) ||V - HU||_2^2, with hu = HU."""
+    """h_a(V) + ||Phi(U)||_1 + <P, V - HU> + (rho/2) ||V - HU||_2^2, with
+    hu = HU. The regularizer ||Phi(U)||_1 = beta1 ||DU||_1
+    + beta2 ||U(1-U)||_1 is l1_norm(phi(u, beta1, beta2))."""
     resid = v - hu
     return (sigmoid_misfit(v, target, a, tr)
-            + cfg.beta1 * tv_norm(u)
-            + cfg.beta2 * binarity_penalty(u)
+            + l1_norm(phi(u, cfg.beta1, cfg.beta2))
             + inner(p, resid)
             + 0.5 * cfg.rho * sum_squares(resid))
 
@@ -169,8 +169,9 @@ def _single(a: np.ndarray) -> np.ndarray:
 def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                  cfg: SolverConfig,
                  kernel: PsfKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Approximately minimize ||HU - W||^2 + beta1||DU||_1 + beta2||U(1-U)||_1
-    over the box [0,1] by split Bregman iteration.
+    """Approximately minimize ||HU - W||^2 + ||Phi(U)||_1, that is
+    ||HU - W||^2 + beta1||DU||_1 + beta2||U(1-U)||_1, over the box [0,1] by
+    split Bregman iteration.
 
     Requires u_init in [0,1] and hu_init = H u_init, its image; W has the
     image's dtype (real for a real PSF).
@@ -187,7 +188,10 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     so, and convolve and convolve_adjoint take the single-precision
     operator from their dtype.
     Every scalar compared (F, the Armijo move ||U - U_t||^2, the original
-    objective) is a float64 sum of single-precision terms.
+    objective ||HU - W||^2 + ||Phi(U)||_1) is a float64 sum of
+    single-precision terms. The original objective reads Phi(U) from the
+    split the U-step forms anyway: at u_init the Phi that starts d, at each
+    sweep end the Phi that the shrink and the b update take.
     Returns (U, HU) for the iterate with the lowest original objective
     seen, so the value never exceeds the one at u_init: U cast to float64
     and HU = convolve(kernel, U), a float64 image formed once at the end,
@@ -198,12 +202,8 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
     b = np.zeros_like(phi_u)
-
-    def original_objective(uu: np.ndarray, resid: np.ndarray) -> float:
-        return (sum_squares(resid)
-                + cfg.beta1 * tv_norm(uu) + cfg.beta2 * binarity_penalty(uu))
-
-    best_u, best_hu, best_val = u_init, hu_init, original_objective(u, hu - w)
+    # the original objective ||HU - W||^2 + ||Phi(U)||_1 at u_init
+    best_u, best_hu, best_val = u_init, hu_init, sum_squares(hu - w) + l1_norm(phi_u)
 
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an
@@ -234,11 +234,11 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
         if not np.all(np.isfinite(u)):
             raise FloatingPointError("u_subproblem produced non-finite mask values")
 
-        val = original_objective(u, resid)
+        phi_u = phi(u, cfg.beta1, cfg.beta2)
+        val = sum_squares(resid) + l1_norm(phi_u)  # the original objective
         if val < best_val:
             best_u, best_hu, best_val = u, None, val  # imaged at the end
 
-        phi_u = phi(u, cfg.beta1, cfg.beta2)
         d = shrink(phi_u + b, 1.0 / cfg.gamma)
         b = b + phi_u - d
     if best_hu is None:

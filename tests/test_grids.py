@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ilt_admm.grids import (GridError, as_binary, as_grid, inner, l2_norm,
-                            project_box, sum_squares)
+from ilt_admm.grids import (GridError, as_binary, as_grid, inner, l1_norm,
+                            l2_norm, project_box, sum_squares)
 
 finite_grids = arrays(np.float64, (5, 5),
                       elements=st.floats(-10, 10, allow_nan=False))
@@ -72,6 +72,24 @@ def test_sum_squares_sums_in_c_order_whatever_the_layout():
                 assert sum_squares(a.T) == sum_squares(a.T.copy()), a.dtype
             assert inner(x.T, x.T) == inner(x.T.copy(), x.T.copy())
             assert inner(x.T, x.T) == sum_squares(x.T)
+
+
+def test_l1_norm_sums_in_float64_in_c_order_whatever_the_layout():
+    # |x| in x's precision, summed in float64: a float32 grid's norm is
+    # its float64 copy's (a float32 sum is off by about 1e-8 here), and a
+    # transpose gives its C-order copy's bits. Summed in memory order, a
+    # transpose's sum differs from its copy's in the last bit on some grids
+    # (here, the fourth normal float64 one)
+    assert l1_norm(np.array([[-1.5, 2.0], [0.25, -3.0]], np.float32)) == 6.75
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        for x in (rng.normal(size=(144, 144)), rng.random((144, 144))):
+            low = x.astype(np.float32)
+            assert l1_norm(low) == pytest.approx(l1_norm(low.astype(np.float64)),
+                                                 rel=1e-12)
+            for a in (x, low):
+                assert l1_norm(a.T) == l1_norm(a.T.copy()), a.dtype
+            assert l1_norm(x) == pytest.approx(np.abs(x).sum(), rel=1e-12)
 
 
 def test_inner_requires_matching_shapes():

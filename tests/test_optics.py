@@ -437,6 +437,24 @@ def test_convolve_cached_is_convolve_bit_for_bit(spectra):
     assert spectra.cache_info().currsize == 4  # 2 sizes x 2 masks
 
 
+def test_convolve_cached_refuses_all_but_a_float64_square_grid(spectra):
+    # convolve images a float32 mask in single precision, and the cache
+    # key's bytes read back as float64: a float32 mask came back 2.4e-7 off
+    # convolve's image in focus, and failed to reshape out of focus. Any
+    # mask but a real float64 square grid fails loudly, in focus and out,
+    # and leaves the cache empty.
+    mask = ten_rectangles(64)
+    for d in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=d))
+        for bad in (mask.astype(np.float32), mask.astype(complex),
+                    mask[:, :32], mask[0]):
+            with pytest.raises(GridError):
+                convolve_cached(kernel, bad)
+        want = convolve(kernel, mask)
+        assert convolve_cached(kernel, mask).tobytes() == want.tobytes()
+    assert spectra.cache_info().currsize == 1
+
+
 def test_spectrum_cache_tells_negative_zero_from_zero(spectra):
     # -0.0 == 0.0, so two masks that differ only in the sign of their zeros
     # compare equal and sum alike; the cache must still tell them apart

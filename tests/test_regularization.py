@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ilt_admm.grids import GridError, inner
-from ilt_admm.regularization import (binarity_penalty, diff_adjoint,
-                                     diff_forward, phi, shrink, tv_norm)
+from ilt_admm.grids import GridError, inner, l1_norm
+from ilt_admm.regularization import diff_adjoint, phi, shrink
 
 RNG = np.random.default_rng(11)
 
@@ -14,14 +13,29 @@ grids_6x6 = arrays(np.float64, (6, 6),
                    elements=st.floats(-5, 5, allow_nan=False))
 
 
+def differences(u):
+    """(Dx u, Dy u): Phi's first two fields at beta1 = 1."""
+    return phi(u, 1.0, 0.0)[:2]
+
+
+def tv(u):
+    """Anisotropic total variation, ||Phi(u)||_1 at beta1 = 1, beta2 = 0."""
+    return l1_norm(phi(u, 1.0, 0.0))
+
+
+def binarity(u):
+    """sum |u(1 - u)|, ||Phi(u)||_1 at beta1 = 0, beta2 = 1."""
+    return l1_norm(phi(u, 0.0, 1.0))
+
+
 def test_diff_forward_constant_grid_is_zero():
-    dx, dy = diff_forward(np.full((5, 5), 3.7))
+    dx, dy = differences(np.full((5, 5), 3.7))
     assert np.all(dx == 0.0) and np.all(dy == 0.0)
 
 
 def test_diff_forward_ramp():
     u = np.tile(np.arange(4.0), (4, 1))  # rises left to right
-    dx, dy = diff_forward(u)
+    dx, dy = differences(u)
     assert np.array_equal(dx[:, :-1], np.ones((4, 3)))
     assert np.all(dx[:, -1] == 0.0)
     assert np.all(dy == 0.0)
@@ -29,7 +43,7 @@ def test_diff_forward_ramp():
 
 def test_diff_rejects_degenerate_grids():
     with pytest.raises(GridError):
-        diff_forward(np.zeros((1, 4)))
+        phi(np.zeros((1, 4)), 1.0, 0.0)
     with pytest.raises(GridError):
         phi(np.zeros((1, 1)), 0.01, 0.015)
 
@@ -37,7 +51,7 @@ def test_diff_rejects_degenerate_grids():
 @given(grids_6x6, grids_6x6, grids_6x6)
 def test_diff_adjoint_identity(u, yx, yy):
     """<D u, y> == <u, D^T y> with the trailing closure entries zeroed."""
-    dx, dy = diff_forward(u)
+    dx, dy = differences(u)
     yx = yx.copy()
     yy = yy.copy()
     yx[:, -1] = 0.0
@@ -51,13 +65,13 @@ def test_tv_norm_single_square():
     u = np.zeros((8, 8))
     u[3:5, 3:5] = 1.0
     # a 2x2 block contributes 2 rising and 2 falling edges per direction
-    assert tv_norm(u) == 8.0
+    assert tv(u) == 8.0
 
 
 def test_binarity_penalty_zero_on_binary():
     b = (RNG.random((10, 10)) < 0.4).astype(float)
-    assert binarity_penalty(b) == 0.0
-    assert binarity_penalty(np.full((2, 2), 0.5)) == pytest.approx(1.0)
+    assert binarity(b) == 0.0
+    assert binarity(np.full((2, 2), 0.5)) == pytest.approx(1.0)
 
 
 def test_phi_components():
@@ -67,15 +81,15 @@ def test_phi_components():
         u = RNG.random((n, n))
         u[0, 0], u[-1, -1] = 0.0, 1.0
         t = phi(u, beta1=b1, beta2=b2)
-        dx, dy = diff_forward(u)
+        dx, dy = differences(u)
         assert t.shape == (3, n, n)
         assert np.array_equal(t, np.stack((b1 * dx, b1 * dy, b2 * u * (1.0 - u))))
 
 
 def test_phi_l1_matches_weighted_norms():
     u = RNG.random((6, 6))
-    got = np.abs(phi(u, 0.01, 0.015)).sum()
-    want = 0.01 * tv_norm(u) + 0.015 * binarity_penalty(u)
+    got = l1_norm(phi(u, 0.01, 0.015))
+    want = 0.01 * tv(u) + 0.015 * binarity(u)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -120,8 +134,7 @@ def test_maps_follow_their_input_precision(n):
     x = RNG.normal(size=(3, n, n))
     b1, b2, kappa = 0.01, 0.015, 1.0 / 30.0
     maps = {
-        "diff_forward": (lambda u: np.stack(diff_forward(u)), (u,),
-                         np.stack(differences_formula(u))),
+        "differences": (differences, (u,), np.stack(differences_formula(u))),
         "diff_adjoint": (diff_adjoint, (yx, yy), adjoint_formula(yx, yy)),
         "phi": (lambda u: phi(u, b1, b2), (u,),
                 np.stack([b1 * d for d in differences_formula(u)]
@@ -140,6 +153,6 @@ def test_maps_follow_their_input_precision(n):
     # a numpy-scalar threshold (a SolverConfig may hold one) keeps float32
     assert shrink(x.astype(np.float32), np.float64(kappa)).dtype == np.float32
     # the norms sum in float64 whatever the input's precision
-    for norm in (tv_norm, binarity_penalty):
+    for norm in (tv, binarity):
         assert norm(u.astype(np.float32)) == pytest.approx(
             norm(u.astype(np.float32).astype(np.float64)), rel=1e-6)

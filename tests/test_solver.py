@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ilt_admm import optics, solver
-from ilt_admm.grids import inner
+from ilt_admm.grids import inner, l1_norm
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
 from oracles import fd_gradient, v_oracle_min_batch
-from ilt_admm.regularization import binarity_penalty, phi, shrink, tv_norm
+from ilt_admm.regularization import phi, shrink
 from ilt_admm.solver import (ConvergenceRecord, SolverConfig, admm_optimize,
                              augmented_lagrangian, bregman_objective,
                              check_rho_condition, dual_update,
@@ -150,10 +150,30 @@ def test_augmented_lagrangian_splitting_consistency():
     p = np.zeros_like(v)
     want = (sigmoid_misfit(v, target, SMALL_OPTICS.sigmoid_steepness,
                            SMALL_OPTICS.threshold)
-            + cfg.beta1 * tv_norm(u) + cfg.beta2 * binarity_penalty(u))
+            + l1_norm(phi(u, cfg.beta1, cfg.beta2)))
     got = augmented_lagrangian(u, v, v, p, target, SMALL_OPTICS.sigmoid_steepness,
                                SMALL_OPTICS.threshold, cfg)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_regularizer_is_l1_norm_of_phi():
+    # the Lagrangian's regularizer is ||Phi(U)||_1 by the package's one l1
+    # rule: with V = HU and P = 0 it is the misfit plus l1_norm(phi(u)) to
+    # the last bit, on gray masks in focus and out. (beta1 TV(U) and
+    # beta2 ||U(1-U)||_1 summed apart round differently on some of them.)
+    cfg = SolverConfig()
+    a, tr = SMALL_OPTICS.sigmoid_steepness, SMALL_OPTICS.threshold
+    rng = np.random.default_rng(1)
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        for _ in range(4):
+            u = rng.random((24, 24))
+            target = (rng.random((24, 24)) < 0.5).astype(float)
+            v = convolve(kernel, u)
+            want = (sigmoid_misfit(v, target, a, tr)
+                    + l1_norm(phi(u, cfg.beta1, cfg.beta2)))
+            got = augmented_lagrangian(u, v, v, np.zeros_like(v), target, a, tr, cfg)
+            assert got == want, defocus
 
 
 def test_augmented_lagrangian_recomposition():
@@ -167,7 +187,7 @@ def test_augmented_lagrangian_recomposition():
     resid = v - hu
     want = (sigmoid_misfit(v, target, SMALL_OPTICS.sigmoid_steepness,
                            SMALL_OPTICS.threshold)
-            + cfg.beta1 * tv_norm(u) + cfg.beta2 * binarity_penalty(u)
+            + l1_norm(phi(u, cfg.beta1, cfg.beta2))
             + inner(p, resid) + 0.5 * cfg.rho * float(np.sum(np.abs(resid) ** 2)))
     got = augmented_lagrangian(u, hu, v, p, target, SMALL_OPTICS.sigmoid_steepness,
                                SMALL_OPTICS.threshold, cfg)
@@ -196,7 +216,7 @@ def test_u_subproblem_descends_and_stays_feasible():
 
         def objective(u):
             return (float(np.sum(np.abs(convolve(kernel, u) - w) ** 2))
-                    + cfg.beta1 * tv_norm(u) + cfg.beta2 * binarity_penalty(u))
+                    + l1_norm(phi(u, cfg.beta1, cfg.beta2)))
 
         out, hu = u_subproblem(w, u0, convolve(kernel, u0), cfg, kernel)
         assert out.min() >= 0.0 and out.max() <= 1.0
