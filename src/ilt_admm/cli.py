@@ -30,25 +30,30 @@ from .pgmio import (integer, load_config, load_mask, load_pattern, number,
                     save_grid, write_history)
 from .solver import SolverConfig, admm_optimize, lagrangian_trace_check
 
-# Every run setting as (flag, pgmio number type); a config-file value is
-# typed by its flag's type, and a key outside these tables is a usage error.
+# Every run setting as config field name -> flag; a config-file key outside
+# these tables is a usage error.
 _OPTICS_FLAGS = {
-    "wavelength_nm": ("--wavelength", number),
-    "numerical_aperture": ("--na", number),
-    "defocus_nm": ("--defocus", number),
-    "pixel_size_nm": ("--pixel-size", number),
-    "kernel_size": ("--kernel-size", integer),
-    "sigmoid_steepness": ("--steepness", number),
-    "threshold": ("--threshold", number),
+    "wavelength_nm": "--wavelength",
+    "numerical_aperture": "--na",
+    "defocus_nm": "--defocus",
+    "pixel_size_nm": "--pixel-size",
+    "kernel_size": "--kernel-size",
+    "sigmoid_steepness": "--steepness",
+    "threshold": "--threshold",
 }
-_PENALTY_FLAGS = {name: ("--" + name, number)
-                  for name in ("rho", "gamma", "beta1", "beta2")}
+_PENALTY_FLAGS = {name: "--" + name for name in ("rho", "gamma", "beta1", "beta2")}
 _BUDGET_FLAGS = {
-    "outer_max_iters": ("--outer-iters", integer),
-    "bregman_max_iters": ("--bregman-iters", integer),
-    "descent_max_iters": ("--descent-iters", integer),
+    "outer_max_iters": "--outer-iters",
+    "bregman_max_iters": "--bregman-iters",
+    "descent_max_iters": "--descent-iters",
 }
 _SETTINGS = {**_OPTICS_FLAGS, **_PENALTY_FLAGS, **_BUDGET_FLAGS}
+# A setting, given as a flag or a config-file value, is read as an integer
+# where its config field is annotated int (the annotation check_settings
+# checks), as a number otherwise.
+_PARSERS = {f.name: integer if f.type == "int" else number
+            for config in (OpticsConfig, SolverConfig)
+            for f in dataclasses.fields(config)}
 
 
 class _UsageError(Exception):
@@ -81,7 +86,7 @@ def _settings(args) -> tuple[OpticsConfig, SolverConfig]:
                               + ", ".join(unknown))
         for key, text in cfg_file.items():
             values[key] = _checked(f"{args.config}: {key}: ",
-                                   _SETTINGS[key][1], text)
+                                   _PARSERS[key], text)
     for name in _SETTINGS:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
@@ -188,30 +193,29 @@ def _parse_list(flag: str, text: str) -> list[float]:
     its flag."""
     items = text.split(",")
     if not all(tok.strip() for tok in items):
-        raise _UsageError(f"--{flag}: {text!r} has an empty item")
-    values = [_checked(f"--{flag}: ", number, tok) for tok in items]
+        raise _UsageError(f"{flag}: {text!r} has an empty item")
+    values = [_checked(f"{flag}: ", number, tok) for tok in items]
     # each value tags its cell's history file by its :g form
     tags = [f"{v:g}" for v in values]
     for tag in tags:
         if tags.count(tag) > 1:
-            raise _UsageError(f"--{flag}: value {tag} given twice in {text!r}")
+            raise _UsageError(f"{flag}: value {tag} given twice in {text!r}")
     return values
 
 
 def cmd_sweep(args) -> int:
-    axes = {name: _parse_list(name, text) for name, text in (
-        ("rho", args.sweep_rho), ("gamma", args.sweep_gamma),
-        ("beta1", args.sweep_beta1), ("beta2", args.sweep_beta2))
-        if text is not None}
+    axes = {name: _parse_list(flag, text) for name, flag in _PENALTY_FLAGS.items()
+            if (text := getattr(args, "sweep_" + name)) is not None}
     levels = ([] if args.kernel_noise is None
-              else _parse_list("kernel-noise", args.kernel_noise))
+              else _parse_list("--kernel-noise", args.kernel_noise))
     for level in levels:
         if not (np.isfinite(level) and level >= 0):
             raise _UsageError(f"--kernel-noise: level {level:g} is not a "
                               "finite non-negative number")
     if not axes and not levels:
-        raise _UsageError("sweep needs at least one of --rho/--gamma/"
-                          "--beta1/--beta2/--kernel-noise lists")
+        raise _UsageError("sweep needs at least one of "
+                          + "/".join([*_PENALTY_FLAGS.values(), "--kernel-noise"])
+                          + " lists")
     oc, base = _settings(args)
     # the penalty lists form their product grid, every cell checked before
     # any imaging or output; kernel-noise cells keep the base solver settings
@@ -260,8 +264,8 @@ def build_parser() -> _Parser:
         if seed_help:
             p.add_argument("--seed", type=integer, default=0, help=seed_help)
         for table in tables:
-            for name, (flag, kind) in table.items():
-                p.add_argument(flag, type=kind, dest=name)
+            for name, flag in table.items():
+                p.add_argument(flag, type=_PARSERS[name], dest=name)
 
     p = sub.add_parser("psf", help="dump the PSF kernel")
     settings(p, _OPTICS_FLAGS)
@@ -290,12 +294,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="penalty product grid / kernel-noise sweep")
     p.add_argument("--target", required=True)
-    p.add_argument("--rho", dest="sweep_rho",
-                   help="comma-separated rho values; the penalty lists given "
-                        "form a product grid")
-    p.add_argument("--gamma", dest="sweep_gamma")
-    p.add_argument("--beta1", dest="sweep_beta1")
-    p.add_argument("--beta2", dest="sweep_beta2")
+    for name, flag in _PENALTY_FLAGS.items():
+        p.add_argument(flag, dest="sweep_" + name,
+                       help=f"comma-separated {name} values; the penalty "
+                            "lists given form a product grid")
     p.add_argument("--kernel-noise",
                    help="comma-separated relative l2 noise levels for H")
     # the list flags above replace the scalar penalty flags

@@ -51,11 +51,6 @@ def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise GridError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def project_box(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Clamp every entry to [0, 1], into out when given."""
-    return np.clip(u, 0.0, 1.0, out=out)
-
-
 def sum_squares(x: np.ndarray) -> float:
     """||x||^2, the package's one rule: the sum of the squares of x's real
     view (re, im interleaved), squared in x's precision and summed in

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import optics as _optics
-from .grids import as_binary, inner, l1_norm, l2_norm, project_box, sum_squares
+from .grids import as_binary, inner, l1_norm, l2_norm, sum_squares
 from .metrics import epe_error
 from .optics import (PsfKernel, aerial_image, check_settings, convolve,
                      convolve_adjoint, image_sigmoid)
@@ -214,10 +214,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
             t = ARMIJO_T0
             accepted = False
             for _ in range(cfg.descent_max_iters):
-                # u_t = P(u - t g), formed in place, and its squared move
-                u_t = np.multiply(g, t)
-                np.subtract(u, u_t, out=u_t)
-                project_box(u_t, out=u_t)
+                u_t = np.clip(u - t * g, 0.0, 1.0)  # P(u - t g)
                 move_sq = sum_squares(u - u_t)
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box

@@ -5,22 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ilt_admm.grids import (GridError, as_binary, as_grid, inner, l1_norm,
-                            l2_norm, project_box, sum_squares)
+                            l2_norm, sum_squares)
 
 finite_grids = arrays(np.float64, (5, 5),
                       elements=st.floats(-10, 10, allow_nan=False))
-
-
-def test_project_box_clamps():
-    u = np.array([[1.2, -0.3], [0.5, 0.0]])
-    assert np.array_equal(project_box(u), [[1.0, 0.0], [0.5, 0.0]])
-
-
-@given(finite_grids)
-def test_project_box_idempotent(u):
-    once = project_box(u)
-    assert np.array_equal(project_box(once), once)
-    assert once.min() >= 0.0 and once.max() <= 1.0
 
 
 def test_norms_trivial():

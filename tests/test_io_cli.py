@@ -521,22 +521,37 @@ def test_cli_simulate_images_mask_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_sweep_product_grid_matches_optimize(tmp_path):
+def check_sweep_cell_matches_optimize(tmp_path, lists, files, cell, cell_file):
+    # sweep writes one history per cell of its lists' product grid, and the
+    # cell_file of the cell whose flags are cell equals, byte for byte, the
+    # history.csv of optimize with those flags
     target = small_target(tmp_path)
     budget = ["--kernel-size", "30", "--outer-iters", "1",
               "--bregman-iters", "1", "--descent-iters", "2"]
     out = tmp_path / "sw"
-    assert run_cli(["sweep", "--target", str(target), "--rho", "5,10",
-                    "--gamma", "20,40", "--output-dir", str(out)] + budget) == 0
-    files = sorted(f.name for f in out.iterdir())
-    assert files == ["history_rho_10_gamma_20.csv", "history_rho_10_gamma_40.csv",
-                     "history_rho_5_gamma_20.csv", "history_rho_5_gamma_40.csv"]
+    assert run_cli(["sweep", "--target", str(target), *lists,
+                    "--output-dir", str(out)] + budget) == 0
+    assert sorted(f.name for f in out.iterdir()) == files
     opt = tmp_path / "opt"
-    assert run_cli(["optimize", "--target", str(target), "--rho", "5",
-                    "--gamma", "20", "--quiet", "--output-dir", str(opt)]
-                   + budget) == 0
-    assert ((out / "history_rho_5_gamma_20.csv").read_bytes()
-            == (opt / "history.csv").read_bytes())
+    assert run_cli(["optimize", "--target", str(target), *cell, "--quiet",
+                    "--output-dir", str(opt)] + budget) == 0
+    assert (out / cell_file).read_bytes() == (opt / "history.csv").read_bytes()
+
+
+def test_cli_sweep_product_grid_matches_optimize(tmp_path):
+    check_sweep_cell_matches_optimize(
+        tmp_path, ["--rho", "5,10", "--gamma", "20,40"],
+        ["history_rho_10_gamma_20.csv", "history_rho_10_gamma_40.csv",
+         "history_rho_5_gamma_20.csv", "history_rho_5_gamma_40.csv"],
+        ["--rho", "5", "--gamma", "20"], "history_rho_5_gamma_20.csv")
+
+
+def test_cli_sweep_beta_lists_match_optimize(tmp_path):
+    check_sweep_cell_matches_optimize(
+        tmp_path, ["--beta1", "0.01,0.02", "--beta2", "0.015,0.03"],
+        ["history_beta1_0p01_beta2_0p015.csv", "history_beta1_0p01_beta2_0p03.csv",
+         "history_beta1_0p02_beta2_0p015.csv", "history_beta1_0p02_beta2_0p03.csv"],
+        ["--beta1", "0.02", "--beta2", "0.03"], "history_beta1_0p02_beta2_0p03.csv")
 
 
 def test_cli_sweep_malformed_list_is_usage_error(tmp_path, capsys):

@@ -487,6 +487,38 @@ def test_u_step_trials_run_in_single_precision(monkeypatch):
         assert np.array_equal(hu, convolve(kernel, out))
 
 
+def test_first_armijo_trial_is_the_clamped_gradient_step(monkeypatch):
+    # the first trial mask imaged is P(U - g) bit for bit, with U the
+    # float32 gray start and g = grad_F at U for the sweep's first state
+    # d = Phi(U), b = 0; from the 0.9 start the clamp binds at some pixels
+    cfg = SolverConfig(bregman_max_iters=1, descent_max_iters=1)
+    u_true = np.zeros((32, 32))
+    u_true[8:24, 10:22] = 1.0
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        w = convolve(kernel, u_true)
+        for gray in (0.5, 0.9):
+            u0 = np.full((32, 32), gray)
+            hu0 = convolve(kernel, u0)
+            masks = []
+
+            def recording(k, x):
+                if x.dtype == np.float32:
+                    masks.append(x.copy())
+                return convolve(k, x)
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "convolve", recording)
+                u_subproblem(w, u0, hu0, cfg, kernel)
+            u, hu, w_single = (solver._single(a) for a in (u0, hu0, w))
+            d = phi(u, cfg.beta1, cfg.beta2)
+            _, resid, gap = bregman_objective(hu, w_single, d, np.zeros_like(d),
+                                              cfg, phi(u, cfg.beta1, cfg.beta2))
+            step = u - grad_F(u, resid, gap, cfg, kernel)
+            assert masks[0].tobytes() == np.clip(step, 0, 1).tobytes(), (defocus, gray)
+            assert np.any(step < 0) == (gray == 0.9)
+
+
 def test_u_step_takes_no_complex_abs(monkeypatch):
     # the U-step's sums of squares square the real view of a complex
     # residual; a complex abs takes a square root per pixel. (Its sums
