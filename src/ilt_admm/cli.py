@@ -162,10 +162,12 @@ def cmd_optimize(args) -> int:
               comment="mask binarized at 0.5; continuous values in mask.txt")
     report = evaluate(u, target, oc, kernel=kernel)
     binarized = evaluate(u >= 0.5, target, oc, kernel=kernel)  # mask.pgm's print
-    # epe = |printed - target| on 0/1 grids, so the printed pattern is
-    # |target - epe| and the mask need not be imaged again
-    save_grid(np.abs(target - report.epe), out / "wafer.pgm", mode="binary")
-    save_grid(report.epe, out / "epe.pgm", mode="binary")
+    # epe = |printed - target| on 0/1 grids, so each printed pattern is
+    # |target - epe| and no mask need be imaged again
+    for suffix, rep in (("", report), ("_binary", binarized)):
+        save_grid(np.abs(target - rep.epe), out / f"wafer{suffix}.pgm",
+                  mode="binary")
+        save_grid(rep.epe, out / f"epe{suffix}.pgm", mode="binary")
     write_history(records, out / "history.csv")
     trace = lagrangian_trace_check(records)
     print(f"baseline epe_error={baseline!r}, optimized epe_error={report.error!r}, "

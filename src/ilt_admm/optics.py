@@ -208,8 +208,8 @@ def _spectrum(u: np.ndarray, shape: tuple[int, int], real: bool,
     """The transform of a grid placed at row and column at of a fresh zero
     lattice of the square shape, by the passes _ConvOperator states for a
     real kernel (real) or a complex one: half of it (rfft layout) or all
-    of it. Every spectrum the package takes, the operators' and
-    _mask_spectrum's, is this routine's."""
+    of it. Every spectrum the package takes, the operators' and the one
+    _mask_spectrum keeps half of, is this routine's."""
     size, (rows, cols) = shape[0], u.shape
     hat = np.result_type(u, np.complex64)
     if real:
@@ -255,11 +255,15 @@ class _ConvOperator:
     is at best focus; an imaginary part, however small, takes the complex
     path and stays in the image.
 
-    forward is _spectrum (the mask's transform) followed by image (the
-    kernel product and the pruned inverse), fused in place. image leaves
-    the spectrum it is given untouched, so one spectrum can serve every
-    kernel on the same lattice: convolve_cached takes a complex kernel's
-    from _mask_spectrum, which transforms by _spectrum too.
+    forward is _spectrum (the mask's transform) followed by the kernel
+    product and the pruned inverse, fused in place. A complex kernel's
+    image runs the same product and inverse from columns 0..L//2 of a real
+    mask's spectrum, the half _mask_spectrum keeps: it rebuilds the other
+    columns by conjugation into a fresh lattice and leaves the half it is
+    given untouched, so one half can serve every kernel on the same
+    lattice. fft2 of a real grid fills those columns as the exact
+    conjugates of their reflections, so the rebuilt spectrum is
+    _spectrum's bit for bit.
 
     A single-precision operator (single=True) runs the same passes on
     float32/complex64 input and returns its precision: the kernel spectrum
@@ -291,9 +295,17 @@ class _ConvOperator:
         self.kernel_hat = kernel_hat.astype(np.complex64) if single else kernel_hat
         self._adjoint_hat = None
 
-    def image(self, u_hat: np.ndarray) -> np.ndarray:
-        """forward from the grid's spectrum, which stays unchanged."""
-        return self._inverse(u_hat * self.kernel_hat, self.crop)
+    def image(self, half: np.ndarray) -> np.ndarray:
+        """forward of a real grid under a complex kernel, from columns
+        0..L//2 of the grid's spectrum, which stay unchanged. Entry (r, c)
+        of the rest is the conjugate of entry (-r, -c) mod L."""
+        size, h = self.shape[0], half.shape[1]
+        y = np.empty(self.shape, half.dtype)
+        y[:, :h] = half
+        np.conjugate(half[0, size - h:0:-1], out=y[0, h:])
+        np.conjugate(half[:0:-1, size - h:0:-1], out=y[1:, h:])
+        y *= self.kernel_hat
+        return self._inverse(y, self.crop)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
@@ -369,24 +381,27 @@ class _MaskKey:
 # A process-window sweep cycles through its masks once per focus setting,
 # and an LRU smaller than that cycle (12 masks) never hits. At the
 # production setting (144² field, 196² complex lattice) an entry holds
-# ~0.78 MB: the 614 KB spectrum and the 166 KB key.
+# ~0.48 MB: the 310 KB half spectrum and the 166 KB key.
 @functools.lru_cache(maxsize=16)
 def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
-    """The read-only complex-kernel _spectrum of the float64 mask in key
-    on the lattice shape: a complex kernel's operator takes the same
-    transform of the mask."""
-    u_hat = _spectrum(np.frombuffer(key.bits).reshape(key.shape), shape, False)
-    u_hat.flags.writeable = False
-    return u_hat
+    """Columns 0..L//2 of the complex-kernel _spectrum of the float64 mask
+    in key on the L x L lattice shape, read-only: a complex kernel's
+    operator takes the same transform of the mask, and its image rebuilds
+    the other columns, which the mask's realness makes redundant."""
+    u = np.frombuffer(key.bits).reshape(key.shape)
+    half = _spectrum(u, shape, False)[:, :shape[1] // 2 + 1].copy()
+    half.flags.writeable = False
+    return half
 
 
 def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     """convolve(kernel, u) bit for bit, for a real float64 n x n grid;
-    anything else raises GridError. A complex kernel takes the mask's
-    spectrum from _mask_spectrum's LRU, shared by every kernel on the same
-    lattice, so a mask imaged at many focus settings is transformed once. A
-    real kernel convolves as convolve does: its half spectrum would evict
-    the complex ones of a focus sweep at every pass.
+    anything else raises GridError. A complex kernel images from the
+    mask's half spectrum (columns 0..L//2) in _mask_spectrum's LRU, shared
+    by every kernel on the same lattice, so a mask imaged at many focus
+    settings is transformed once. A real kernel convolves as convolve
+    does: its rfft2 spectrum would evict the complex ones of a focus sweep
+    at every pass.
     """
     u = np.asarray(u)
     if u.dtype != np.float64:  # the key's bytes are read back as float64

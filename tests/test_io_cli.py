@@ -1,5 +1,6 @@
 import ast
 import csv
+import math
 import os
 import re
 import shlex
@@ -345,7 +346,8 @@ def test_cli_optimize_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert run_cli(args + ["--output-dir", str(out1)]) == 0
     assert run_cli(args + ["--output-dir", str(out2)]) == 0
-    for name in ("mask.txt", "mask.pgm", "wafer.pgm", "epe.pgm", "history.csv"):
+    for name in ("mask.txt", "mask.pgm", "wafer.pgm", "epe.pgm",
+                 "wafer_binary.pgm", "epe_binary.pgm", "history.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -364,6 +366,31 @@ def test_cli_optimize_prints_the_epe_of_each_mask_file(tmp_path, capsys):
     binary = evaluate(load_pattern(out / "mask.pgm"), pattern, oc).error
     assert float(printed["optimized"]) == gray
     assert float(printed["binarized"]) == binary
+
+
+def test_cli_optimize_writes_the_print_of_each_mask_file(tmp_path, capsys):
+    # wafer.pgm and epe.pgm are the print of the gray mask.txt, and
+    # wafer_binary.pgm and epe_binary.pgm that of mask.pgm, whose mismatch
+    # count is the printed binarized epe_error squared
+    target = small_target(tmp_path)
+    out = tmp_path / "opt"
+    assert run_cli(["optimize", "--target", str(target), "--kernel-size", "30",
+                    "--outer-iters", "2", "--quiet",
+                    "--output-dir", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    printed = dict(item.split(" epe_error=") for item in summary.split(", "))
+    oc, pattern = OpticsConfig(kernel_size=30), load_pattern(target)
+    for mask, suffix in ((load_mask(out / "mask.txt"), ""),
+                         (load_pattern(out / "mask.pgm"), "_binary")):
+        report = evaluate(mask, pattern, oc)
+        wafer = load_pattern(out / f"wafer{suffix}.pgm")
+        epe = load_pattern(out / f"epe{suffix}.pgm")
+        assert np.array_equal(epe, report.epe), suffix
+        assert np.array_equal(wafer, np.abs(pattern - report.epe)), suffix
+    count = int(np.count_nonzero(epe))
+    assert count == report.nonzero_epe_pixels
+    # the printed error is sqrt(count) exactly, so its square is the count
+    assert float(printed["binarized"]) == math.sqrt(count)
 
 
 def test_cli_evaluate_matches_simulate(tmp_path, capsys):

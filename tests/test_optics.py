@@ -7,7 +7,7 @@ from scipy import fft as sfft
 
 from ilt_admm.grids import GridError
 from ilt_admm.optics import (OpticsConfig, PsfKernel, _MaskKey, _quadrature,
-                             aerial_image, build_psf, convolve,
+                             _spectrum, aerial_image, build_psf, convolve,
                              convolve_adjoint, convolve_cached, image_sigmoid,
                              image_threshold)
 from ilt_admm.targets import ten_rectangles
@@ -437,6 +437,29 @@ def test_convolve_cached_is_convolve_bit_for_bit(spectra):
     assert spectra.cache_info().currsize == 4  # 2 sizes x 2 masks
 
 
+def test_spectrum_cache_keeps_the_half_spectrum(spectra):
+    # an entry is columns 0..L//2 of the mask's complex-kernel spectrum,
+    # read-only, and image rebuilds the rest by conjugation: on the odd and
+    # even lattices of LATTICE_CASES, the 1 x 1 to 5 x 5 ones of a 1-pixel
+    # kernel and the production 196² one, the image is convolve's bit for bit
+    cases = [(complex_normal((k, k)), n) for k, n in LATTICE_CASES]
+    cases += [(complex_normal((1, 1)), n) for n in range(1, 6)]
+    cases += [(build_psf(OpticsConfig(defocus_nm=50.0)).samples, 144)]
+    for samples, n in cases:
+        kernel = PsfKernel(samples)
+        shape = kernel.op(n).shape
+        for mask in (RNG.random((n, n)), (RNG.random((n, n)) < 0.5) * 1.0):
+            want = convolve(kernel, mask)
+            got = convolve_cached(kernel, mask)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (shape, n)
+            entry = spectra(shape, _MaskKey(mask))
+            half = _spectrum(mask, shape, False)[:, :shape[1] // 2 + 1]
+            assert entry.shape == half.shape, (shape, n)
+            assert entry.tobytes() == half.tobytes(), (shape, n)
+            assert not entry.flags.writeable
+
+
 def test_convolve_cached_refuses_all_but_a_float64_square_grid(spectra):
     # convolve images a float32 mask in single precision, and the cache
     # key's bytes read back as float64: a float32 mask came back 2.4e-7 off
@@ -517,10 +540,15 @@ def test_spectrum_budget_holds_a_process_window_cycle(spectra):
     for mask in masks:
         convolve_cached(kernel, mask)
     assert spectra.cache_info()[:2] == (12, 12)
-    # the spectra the kernels share are read-only
-    u_hat = spectra(kernel.op(144).shape, _MaskKey(masks[0]))
-    with pytest.raises(ValueError):
-        u_hat[0, 0] = 0.0
+    # each entry owns columns 0..98 of its 196² spectrum, 196 x 99 complex128
+    # values, half the full spectrum's 614,656 bytes; the spectra the
+    # kernels share are read-only
+    for mask in masks:
+        half = spectra(kernel.op(144).shape, _MaskKey(mask))
+        assert half.base is None
+        assert half.nbytes == 196 * 99 * 16 == 310_464
+        with pytest.raises(ValueError):
+            half[0, 0] = 0.0
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():
