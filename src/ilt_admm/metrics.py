@@ -59,8 +59,9 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     hard threshold) and compare the printed pattern with the target.
 
     Evaluation always uses the hard threshold: it is the printed wafer
-    pattern, not the sigmoid surrogate used inside the solver. The printed
-    image is 0/1 by construction, so only the target is checked for
+    pattern, not the sigmoid surrogate used inside the solver. The print
+    is the bool map aerial image >= threshold, optics.image_threshold's
+    0/1 map without its float64 copy, so only the target is checked for
     binarity; the report is mismatch_report's of printed != target.
 
     The mask must be real, finite and of the target's shape (GridError
@@ -74,5 +75,5 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     if kernel is None:
         kernel = _optics.build_psf(optics_cfg)
     v = _optics.convolve_cached(kernel, mask)
-    printed = _optics.image_threshold(_optics.aerial_image(v), optics_cfg.threshold)
+    printed = _optics.aerial_image(v) >= optics_cfg.threshold
     return mismatch_report(printed != target)

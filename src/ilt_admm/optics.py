@@ -11,9 +11,11 @@ defocus enters as a phase aberration inside the pupil.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -75,12 +77,24 @@ class OpticsConfig:
             raise ValueError("resist threshold must lie in (0, 1)")
 
 
+# At most this many convolution operators stay cached across all live
+# kernels. A float64 one holds a 614 KB complex128 spectrum at the production
+# setting; a solve uses two (float64 and single precision) of one kernel.
+OPERATOR_LIMIT = 4
+
+# (weakref to kernel, op key) per operator build, oldest first: weak, so a
+# dropped kernel frees its operators at once, whatever their age
+_BUILT: collections.deque = collections.deque()
+
+
 @dataclass
 class PsfKernel:
     """Spatial convolution kernel with its optics metadata.
 
     samples is a kernel_size x kernel_size complex array; dc_gain is the
-    magnitude of its sum (1.0 after build_psf normalization).
+    magnitude of its sum (1.0 after build_psf normalization). A kernel
+    caches its convolution operators, within OPERATOR_LIMIT across all
+    live kernels (see op).
     """
 
     samples: np.ndarray
@@ -94,10 +108,22 @@ class PsfKernel:
 
     def op(self, n: int, single: bool = False) -> "_ConvOperator":
         """FFT convolution operator for n x n inputs, cached per size and
-        precision: float64 unless single."""
-        if (n, single) not in self._ops:
-            self._ops[n, single] = _ConvOperator(self.samples, n, single)
-        return self._ops[n, single]
+        precision: float64 unless single.
+
+        Each build counts against OPERATOR_LIMIT: past it, the oldest
+        build's operator leaves its kernel's cache, if that kernel is
+        still alive, and the next op call for it rebuilds it bit for bit.
+        A cache hit leaves the order alone."""
+        key = (n, single)
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = _ConvOperator(self.samples, n, single)
+            _BUILT.append((weakref.ref(self), key))
+            if len(_BUILT) > OPERATOR_LIMIT:
+                ref, old = _BUILT.popleft()
+                if (kernel := ref()) is not None:
+                    kernel._ops.pop(old, None)
+        return op
 
 
 # a focus sweep needs one entry; each holds ~0.38 MB at the production setting

@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import math
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ilt_admm import optics
+from ilt_admm import cli, optics
 from ilt_admm.cli import _UsageError, build_parser, run_cli
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig
@@ -549,6 +550,29 @@ def test_cli_sweep(tmp_path):
     assert files == ["history_kernel_noise_0p001.csv", "history_rho_10.csv",
                      "history_rho_5.csv"]
     assert len(read_history(out / "history_rho_5.csv")) == 1
+
+
+def test_cli_sweep_keeps_operators_within_the_limit(tmp_path, monkeypatch):
+    # sweep keeps every noisy kernel until it ends, and each solve builds
+    # two operators: after every cell at most OPERATOR_LIMIT are alive
+    target = small_target(tmp_path)
+    live = []
+    solve = cli.admm_optimize
+
+    def counting(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        gc.collect()
+        live.append(sum(isinstance(o, optics._ConvOperator) for o in gc.get_objects()))
+        return result
+
+    monkeypatch.setattr(cli, "admm_optimize", counting)
+    levels = ["0", "1e-4", "2e-4", "5e-4", "1e-3", "2e-3"]
+    assert run_cli(["sweep", "--target", str(target), "--kernel-size", "20",
+                    "--outer-iters", "1", "--bregman-iters", "1",
+                    "--descent-iters", "2", "--kernel-noise", ",".join(levels),
+                    "--output-dir", str(tmp_path / "sw")]) == 0
+    assert len(live) == len(levels)
+    assert max(live) <= optics.OPERATOR_LIMIT, live
 
 
 def test_cli_simulate_images_mask_once(tmp_path, monkeypatch):

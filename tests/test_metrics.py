@@ -114,12 +114,15 @@ def test_evaluate_rejects_bad_grids():
     # the imaginary part must not be dropped
     with pytest.raises(GridError, match="real"):
         evaluate(target + 0.5j, target, cfg)
-    # one non-finite pixel must not read as a mask that prints nothing
+    # one non-finite pixel must not read as a mask that prints nothing,
+    # nor as a target pixel that is neither 0 nor 1
     for bad in (np.nan, np.inf, -np.inf):
-        mask = target.copy()
-        mask[10, 10] = bad
+        grid = target.copy()
+        grid[10, 10] = bad
         with pytest.raises(GridError, match="non-finite"):
-            evaluate(mask, target, cfg)
+            evaluate(grid, target, cfg)
+        with pytest.raises(GridError, match="non-finite"):
+            evaluate(target, grid, cfg)
 
 
 def test_evaluate_reuses_mask_spectra_bit_for_bit(spectra):

@@ -1,15 +1,19 @@
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from ilt_admm import optics
 from ilt_admm.grids import GridError
-from ilt_admm.optics import (OpticsConfig, PsfKernel, _MaskKey, _quadrature,
-                             _spectrum, aerial_image, build_psf, convolve,
-                             convolve_adjoint, convolve_cached, image_sigmoid,
-                             image_threshold)
+from ilt_admm.metrics import evaluate
+from ilt_admm.optics import (OPERATOR_LIMIT, OpticsConfig, PsfKernel, _MaskKey,
+                             _quadrature, _spectrum, aerial_image, build_psf,
+                             convolve, convolve_adjoint, convolve_cached,
+                             image_sigmoid, image_threshold)
+from ilt_admm.solver import SolverConfig, admm_optimize
 from ilt_admm.targets import ten_rectangles
 from oracles import (bessel_j1, convolve_naive, psf_focus_einsum,
                      psf_full_quadrature)
@@ -549,6 +553,114 @@ def test_spectrum_budget_holds_a_process_window_cycle(spectra):
         assert half.nbytes == 196 * 99 * 16 == 310_464
         with pytest.raises(ValueError):
             half[0, 0] = 0.0
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The keys (n, single) of the operators built during the test, in
+    build order."""
+    keys = []
+    init = optics._ConvOperator.__init__
+
+    def counting(self, kernel, n, single=False):
+        keys.append((n, single))
+        init(self, kernel, n, single)
+
+    monkeypatch.setattr(optics._ConvOperator, "__init__", counting)
+    return keys
+
+
+def test_operator_limit_drops_the_oldest_build():
+    # OPERATOR_LIMIT builds across five live kernels: the fifth build takes
+    # the first kernel's operator out of its cache, so nothing holds it any
+    # more, and the four newest stay cached as the same objects
+    assert OPERATOR_LIMIT == 4
+    kernels = [PsfKernel(RNG.normal(size=(5, 5))) for _ in range(5)]
+    first = weakref.ref(kernels[0].op(8))
+    newest = [kernel.op(8) for kernel in kernels[1:4]]
+    assert first() is not None
+    newest.append(kernels[4].op(8))
+    assert first() is None
+    assert kernels[0]._ops == {}
+    for kernel, op in reversed(list(zip(kernels[1:], newest))):
+        assert kernel.op(8) is op
+    # hits leave the build order alone, so a rebuild drops kernels[1]'s
+    kernels[0].op(8)
+    assert kernels[1]._ops == {}
+    assert [kernel.op(8) for kernel in kernels[2:]] == newest[1:]
+    # an eviction drops one operator, not its kernel's others
+    single = kernels[4].op(8, single=True)
+    for kernel in kernels[1:3]:
+        kernel.op(8)
+    assert kernels[4]._ops == {(8, True): single}
+
+
+def test_evicted_operator_rebuilds_bit_for_bit():
+    # an operator that left its kernel's cache rebuilds to the same
+    # spectrum, and convolves and correlates as the first build did, in
+    # both precisions, under a real and a complex kernel
+    n = 9
+    u, x = RNG.random((n, n)), complex_normal((n, n))
+    for samples in (RNG.normal(size=(6, 6)), complex_normal((6, 6))):
+        kernel = PsfKernel(samples)
+        for dtype in (np.float64, np.float32):
+            op = kernel.op(n, single=dtype == np.float32)
+            spectrum = op.kernel_hat.tobytes()
+            image = convolve(kernel, u.astype(dtype)).tobytes()
+            adjoint = convolve_adjoint(kernel, x.astype(np.result_type(dtype, 1j))).tobytes()
+            del op
+            others = [PsfKernel(RNG.normal(size=(3, 3))) for _ in range(OPERATOR_LIMIT)]
+            for other in others:
+                other.op(n)
+            assert kernel._ops == {}
+            rebuilt = kernel.op(n, single=dtype == np.float32)
+            assert rebuilt.kernel_hat.tobytes() == spectrum
+            assert convolve(kernel, u.astype(dtype)).tobytes() == image
+            got = convolve_adjoint(kernel, x.astype(np.result_type(dtype, 1j)))
+            assert got.tobytes() == adjoint
+
+
+def test_dropped_kernel_frees_its_operators_at_once():
+    # the limit's record holds kernels weakly: a kernel dropped while its
+    # operators are among the newest builds frees them without a gc pass
+    kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
+    ops = [weakref.ref(kernel.op(32)), weakref.ref(kernel.op(32, single=True))]
+    convolve_adjoint(kernel, complex_normal((32, 32)))  # the conjugate too
+    assert all(ref() is not None for ref in ops)
+    del kernel
+    assert all(ref() is None for ref in ops)
+
+
+def test_a_solve_builds_two_operators(builds):
+    # admm_optimize images in float64 (start-up image, EPE monitor) and
+    # runs its U-step in single precision: one operator of each, in focus
+    # and out, and none is evicted and rebuilt within the solve
+    target = ten_rectangles(64)
+    cfg = SolverConfig(outer_max_iters=3, bregman_max_iters=2, descent_max_iters=3)
+    for d in (0.0, 50.0):
+        oc = OpticsConfig(kernel_size=20, defocus_nm=d)
+        kernel = build_psf(oc)
+        builds.clear()
+        admm_optimize(target, oc, cfg, kernel=kernel)
+        assert sorted(builds) == [(64, False), (64, True)], d
+
+
+def test_focus_sweep_builds_one_operator_per_kernel(builds, spectra):
+    # a process window images each of its masks at one focus setting after
+    # another; every kernel is kept, as a caller keeps the kernels of the
+    # images it checks, and still each builds its operator once
+    target = ten_rectangles(64)
+    masks = [target] + [np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
+                        for _ in range(11)]
+    kept = []
+    for d in np.linspace(-100.0, 100.0, 21):
+        oc = OpticsConfig(kernel_size=20, defocus_nm=float(d))
+        kernel = build_psf(oc)
+        for mask in masks:
+            evaluate(mask, target, oc, kernel=kernel)
+        kept.append(kernel)
+    assert builds == [(64, False)] * 21
+    assert sum(len(kernel._ops) for kernel in kept) <= OPERATOR_LIMIT
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():
