@@ -60,20 +60,20 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
 
     Evaluation always uses the hard threshold: it is the printed wafer
     pattern, not the sigmoid surrogate used inside the solver. The print
-    is the bool map aerial image >= threshold, optics.image_threshold's
-    0/1 map without its float64 copy, so only the target is checked for
-    binarity; the report is mismatch_report's of printed != target.
+    is optics.image_threshold's bool map, so only the target is checked
+    for binarity; the report is mismatch_report's of printed != target.
 
     The mask must be real, finite and of the target's shape (GridError
-    otherwise). Once checked, it is imaged by optics.convolve_cached: for
-    complex (defocused) kernels each of up to 16 masks is transformed once,
-    not once per focus setting; the report is optics.convolve's bit for bit.
+    otherwise). optics.convolve images it from its cached half spectrum
+    under a complex (defocused) kernel, so each of up to 16 masks is
+    transformed once, not once per focus setting.
     """
     target = as_binary(target)
     mask = as_grid(mask)
     check_same_shape(mask, target)
     if kernel is None:
         kernel = _optics.build_psf(optics_cfg)
-    v = _optics.convolve_cached(kernel, mask)
-    printed = _optics.aerial_image(v) >= optics_cfg.threshold
+    v = _optics.convolve(kernel, mask)
+    printed = _optics.image_threshold(_optics.aerial_image(v),
+                                      optics_cfg.threshold)
     return mismatch_report(printed != target)

@@ -235,7 +235,7 @@ def _spectrum(u: np.ndarray, shape: tuple[int, int], real: bool,
     lattice of the square shape, by the passes _ConvOperator states for a
     real kernel (real) or a complex one: half of it (rfft layout) or all
     of it. Every spectrum the package takes, the operators' and the one
-    _mask_spectrum keeps half of, is this routine's."""
+    convolve caches half of in _mask_spectrum, is this routine's."""
     size, (rows, cols) = shape[0], u.shape
     hat = np.result_type(u, np.complex64)
     if real:
@@ -283,13 +283,13 @@ class _ConvOperator:
 
     forward is _spectrum (the mask's transform) followed by the kernel
     product and the pruned inverse, fused in place. A complex kernel's
-    image runs the same product and inverse from columns 0..L//2 of a real
-    mask's spectrum, the half _mask_spectrum keeps: it rebuilds the other
-    columns by conjugation into a fresh lattice and leaves the half it is
-    given untouched, so one half can serve every kernel on the same
-    lattice. fft2 of a real grid fills those columns as the exact
-    conjugates of their reflections, so the rebuilt spectrum is
-    _spectrum's bit for bit.
+    image, convolve's path for a float64 mask, runs the same product and
+    inverse from columns 0..L//2 of the mask's spectrum, the half
+    _mask_spectrum keeps: it rebuilds the other columns by conjugation
+    into a fresh lattice and leaves the half untouched, so one half can
+    serve every kernel on the same lattice. fft2 of a real grid fills
+    those columns as the exact conjugates of their reflections, so the
+    image is forward's bit for bit.
 
     A single-precision operator (single=True) runs the same passes on
     float32/complex64 input and returns its precision: the kernel spectrum
@@ -375,15 +375,6 @@ def _operator(kernel: PsfKernel, name: str,
     return kernel.op(a.shape[0], a.dtype in (np.float32, np.complex64)), a
 
 
-def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
-    """H * U: zero-padded linear 2-D convolution, central n x n window. The
-    mask must be real; a float32 mask convolves in single precision."""
-    op, u = _operator(kernel, "mask", u)
-    if np.iscomplexobj(u):
-        raise GridError("mask must be real, got complex data")
-    return op.forward(u)
-
-
 class _MaskKey:
     """A mask as _mask_spectrum's key: its shape and its C-order bytes,
     whatever its memory layout. Keys are equal only bit for bit, so -0.0
@@ -420,20 +411,22 @@ def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
     return half
 
 
-def convolve_cached(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
-    """convolve(kernel, u) bit for bit, for a real float64 n x n grid;
-    anything else raises GridError. A complex kernel images from the
-    mask's half spectrum (columns 0..L//2) in _mask_spectrum's LRU, shared
-    by every kernel on the same lattice, so a mask imaged at many focus
-    settings is transformed once. A real kernel convolves as convolve
-    does: its rfft2 spectrum would evict the complex ones of a focus sweep
-    at every pass.
-    """
-    u = np.asarray(u)
-    if u.dtype != np.float64:  # the key's bytes are read back as float64
-        raise GridError(f"cached masks must be float64, got {u.dtype}")
+def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
+    """H * U: zero-padded linear 2-D convolution, central n x n window, the
+    operator's forward bit for bit. The mask must be real; a float32 mask
+    convolves in single precision.
+
+    A float64 mask under a complex kernel is imaged from its half spectrum
+    in _mask_spectrum's LRU, shared by every kernel on the same lattice,
+    so a focus sweep transforms each mask once. Every other mask takes
+    forward; a real kernel's rfft2 spectra would evict a sweep's complex
+    ones. At production (196², 2-core x86_64) a hit took ~0.6x forward's
+    time and a miss 1.5-1.8x; no package path images one-off float64
+    masks under a complex kernel in volume."""
     op, u = _operator(kernel, "mask", u)
-    if op.real:
+    if np.iscomplexobj(u):
+        raise GridError("mask must be real, got complex data")
+    if op.real or u.dtype != np.float64:
         return op.forward(u)
     return op.image(_mask_spectrum(op.shape, _MaskKey(u)))
 
@@ -462,5 +455,6 @@ def image_sigmoid(ia: np.ndarray, a: float, tr: float) -> np.ndarray:
 
 
 def image_threshold(ia: np.ndarray, tr: float) -> np.ndarray:
-    """Hard resist model: 1 where intensity >= tr, else 0."""
-    return (np.asarray(ia, dtype=float) >= tr).astype(float)
+    """Hard resist model, the package's one print rule: the bool map
+    intensity >= tr, compared in float64 (a float64 ia is not copied)."""
+    return np.asarray(ia, dtype=float) >= tr

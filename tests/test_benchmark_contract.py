@@ -53,10 +53,10 @@ def test_workload_solver_keys_are_config_fields(monkeypatch):
         assert keys <= fields, (w.name, keys - fields)
 
 
-def test_process_window_reads_report_fields(monkeypatch):
-    # the sweep keeps report.error for every image and checks report.epe
-    # of the sampled ones against an independent reference; a shortened
-    # sweep of one binary and one gray mask runs the same code
+def _short_window(monkeypatch):
+    """The workloads module, the process_window workload and its case,
+    warmed up, on a shortened sweep of one binary and one gray mask at two
+    focus settings, which runs the same code as the full one."""
     workloads = _load("workloads", monkeypatch)
     monkeypatch.setattr(workloads, "DEFOCUS_SWEEP_NM", (0.0, 50.0))
     target = ten_rectangles(workloads.N)
@@ -65,6 +65,14 @@ def test_process_window_reads_report_fields(monkeypatch):
     workload = workloads.WORKLOADS["process_window"]
     case = workloads.WindowCase([(target, target), (gray, target)])
     workload.warm_up(case)
+    return workloads, workload, case
+
+
+def test_process_window_reads_report_fields(monkeypatch):
+    # the sweep keeps report.error for every image and checks report.epe
+    # of the sampled ones against an independent reference
+    workloads, workload, case = _short_window(monkeypatch)
+    target = case.masks[0][1]
     sample = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     result = workload.run(case, workloads.no_span, sample)
     assert len(result.sampled) == len(sample)
@@ -76,26 +84,45 @@ def test_process_window_reads_report_fields(monkeypatch):
     assert workload.check(case, result)[:2] == (4, 0)  # (attempted, failed)
 
 
+def test_process_window_traces_one_convolution_per_image(monkeypatch):
+    # process_window's per-layer convolution count is its traced
+    # optics.convolve spans: evaluate must image every mask through it,
+    # in focus and out
+    tracing = _load("tracing", monkeypatch)
+    _, workload, case = _short_window(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracer.installed(ilt_admm):
+        workload.run(case, tracer.span, frozenset())
+    summary = tracer.summary()
+    assert summary.n("metrics.evaluate") == workload.ops(case) == 4
+    assert summary.n("optics.convolve") == workload.ops(case)
+    assert summary.child_calls[("metrics.evaluate", "optics.convolve")] == 4
+
+
 def test_tracer_sees_every_solver_convolution(monkeypatch):
     # the per-layer convolution counts are the traced optics.convolve and
     # optics.convolve_adjoint spans: a solver path that reached the FFT
     # operator another way would read as zero convolutions, so the spans
-    # must count every call of the operator itself
+    # must count every call of the operator itself. A forward image is
+    # either the operator's forward or, for the start-up image of a
+    # defocused solve, its image from the cached mask spectrum.
     tracing = _load("tracing", monkeypatch)
-    calls = {"forward": 0, "adjoint": 0}
+    calls = {"forward": 0, "image": 0, "adjoint": 0}
     for name in calls:
         def counted(self, x, _name=name, _method=getattr(optics._ConvOperator, name)):
             calls[_name] += 1
             return _method(self, x)
         monkeypatch.setattr(optics._ConvOperator, name, counted)
     cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2, descent_max_iters=3)
-    for defocus in (0.0, 50.0):
-        calls.update(forward=0, adjoint=0)
+    for defocus, images in ((0.0, 0), (50.0, 1)):
+        calls.update(forward=0, image=0, adjoint=0)
         tracer = tracing.Tracer()
         with tracer.installed(ilt_admm):
             admm_optimize(ten_rectangles(48),
                           OpticsConfig(kernel_size=20, defocus_nm=defocus), cfg)
         summary = tracer.summary()
         assert calls["forward"] > 0 and calls["adjoint"] > 0
-        assert summary.n("optics.convolve") == calls["forward"], defocus
+        assert calls["image"] == images, defocus
+        assert (summary.n("optics.convolve")
+                == calls["forward"] + calls["image"]), defocus
         assert summary.n("optics.convolve_adjoint") == calls["adjoint"], defocus

@@ -127,14 +127,15 @@ def test_evaluate_rejects_bad_grids():
 
 def test_evaluate_reuses_mask_spectra_bit_for_bit(spectra):
     # a focus sweep's evaluate calls share one transform of each mask; cold
-    # and warm, every report is the convolve chain's bit for bit
+    # and warm, every report is that of the operator's fresh forward bit
+    # for bit
     target = ten_rectangles(144)
     gray = np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
     for k in (100, 80):
         cfgs = [OpticsConfig(kernel_size=k, defocus_nm=d) for d in (0.0, 10.0, 50.0)]
         kernels = [build_psf(cfg) for cfg in cfgs]
         for mask in (target, gray):
-            wants = [image_threshold(aerial_image(convolve(kernel, mask)),
+            wants = [image_threshold(aerial_image(kernel.op(144).forward(mask)),
                                      cfg.threshold) != target
                      for cfg, kernel in zip(cfgs, kernels)]
             before = spectra.cache_info()

@@ -11,8 +11,8 @@ from ilt_admm.grids import GridError
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import (OPERATOR_LIMIT, OpticsConfig, PsfKernel, _MaskKey,
                              _quadrature, _spectrum, aerial_image, build_psf,
-                             convolve, convolve_adjoint, convolve_cached,
-                             image_sigmoid, image_threshold)
+                             convolve, convolve_adjoint, image_sigmoid,
+                             image_threshold)
 from ilt_admm.solver import SolverConfig, admm_optimize
 from ilt_admm.targets import ten_rectangles
 from oracles import (bessel_j1, convolve_naive, psf_focus_einsum,
@@ -417,21 +417,22 @@ def test_kernel_spectrum_equals_full_lattice_transform():
         assert sha256(op.kernel_hat) == sha256(want), (op.shape, n)
 
 
-def test_convolve_cached_is_convolve_bit_for_bit(spectra):
-    # cold and warm, in and out of focus, at two kernel sizes: the field is
-    # convolve's to the last bit, and the complex kernels on one lattice
-    # share one transform of each mask while the real one looks up nothing
+def test_convolve_through_the_spectrum_cache_is_forward_bit_for_bit(spectra):
+    # cold and warm, in and out of focus, at two kernel sizes: convolve's
+    # image of a float64 mask is the operator's fresh forward to the last
+    # bit, and the complex kernels on one lattice share one transform of
+    # each mask while the real one looks up nothing
     target = ten_rectangles(144)
     gray = np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
     for k in (100, 80):
         kernels = [build_psf(OpticsConfig(kernel_size=k, defocus_nm=d))
                    for d in (0.0, 10.0, 50.0)]
         for mask in (target, gray):
-            wants = [convolve(kernel, mask) for kernel in kernels]
+            wants = [kernel.op(144).forward(mask) for kernel in kernels]
             before = spectra.cache_info()
             for _ in range(2):
                 for kernel, want in zip(kernels, wants):
-                    got = convolve_cached(kernel, mask)
+                    got = convolve(kernel, mask)
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes(), (k, kernel.config)
             # two complex kernels, two passes: one transform, three reuses
@@ -445,7 +446,7 @@ def test_spectrum_cache_keeps_the_half_spectrum(spectra):
     # an entry is columns 0..L//2 of the mask's complex-kernel spectrum,
     # read-only, and image rebuilds the rest by conjugation: on the odd and
     # even lattices of LATTICE_CASES, the 1 x 1 to 5 x 5 ones of a 1-pixel
-    # kernel and the production 196² one, the image is convolve's bit for bit
+    # kernel and the production 196² one, the image is forward's bit for bit
     cases = [(complex_normal((k, k)), n) for k, n in LATTICE_CASES]
     cases += [(complex_normal((1, 1)), n) for n in range(1, 6)]
     cases += [(build_psf(OpticsConfig(defocus_nm=50.0)).samples, 144)]
@@ -453,8 +454,8 @@ def test_spectrum_cache_keeps_the_half_spectrum(spectra):
         kernel = PsfKernel(samples)
         shape = kernel.op(n).shape
         for mask in (RNG.random((n, n)), (RNG.random((n, n)) < 0.5) * 1.0):
-            want = convolve(kernel, mask)
-            got = convolve_cached(kernel, mask)
+            want = kernel.op(n).forward(mask)
+            got = convolve(kernel, mask)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (shape, n)
             entry = spectra(shape, _MaskKey(mask))
@@ -464,22 +465,26 @@ def test_spectrum_cache_keeps_the_half_spectrum(spectra):
             assert not entry.flags.writeable
 
 
-def test_convolve_cached_refuses_all_but_a_float64_square_grid(spectra):
-    # convolve images a float32 mask in single precision, and the cache
-    # key's bytes read back as float64: a float32 mask came back 2.4e-7 off
-    # convolve's image in focus, and failed to reshape out of focus. Any
-    # mask but a real float64 square grid fails loudly, in focus and out,
-    # and leaves the cache empty.
+def test_convolve_caches_only_float64_masks_under_a_complex_kernel(spectra):
+    # the cache key's bytes read back as float64, so a float32, int or bool
+    # mask under a complex kernel, and every mask under a real one, takes
+    # the operator's forward: the cache is left as it was and the image is
+    # forward's by bytes. A complex or non-square mask fails loudly.
     mask = ten_rectangles(64)
+    others = [mask.astype(np.float32), mask.astype(np.int64), mask.astype(bool)]
     for d in (0.0, 50.0):
         kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=d))
-        for bad in (mask.astype(np.float32), mask.astype(complex),
-                    mask[:, :32], mask[0]):
+        for other in others + ([mask] if d == 0.0 else []):
+            want = kernel.op(64, other.dtype == np.float32).forward(other)
+            before = spectra.cache_info()
+            got = convolve(kernel, other)
+            assert spectra.cache_info() == before, (d, other.dtype)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (d, other.dtype)
+        for bad in (mask.astype(complex), mask[:, :32], mask[0]):
             with pytest.raises(GridError):
-                convolve_cached(kernel, bad)
-        want = convolve(kernel, mask)
-        assert convolve_cached(kernel, mask).tobytes() == want.tobytes()
-    assert spectra.cache_info().currsize == 1
+                convolve(kernel, bad)
+    assert spectra.cache_info().currsize == 0
 
 
 def test_spectrum_cache_tells_negative_zero_from_zero(spectra):
@@ -489,16 +494,16 @@ def test_spectrum_cache_tells_negative_zero_from_zero(spectra):
     mask = ten_rectangles(64)
     negative = mask.copy()
     negative[mask == 0.0] = -0.0
-    convolve_cached(kernel, mask)
-    got = convolve_cached(kernel, negative)
+    convolve(kernel, mask)
+    got = convolve(kernel, negative)
     assert spectra.cache_info()[:2] == (0, 2)  # (hits, misses)
-    assert got.tobytes() == convolve(kernel, negative).tobytes()
-    got = convolve_cached(kernel, mask)
+    assert got.tobytes() == kernel.op(64).forward(negative).tobytes()
+    got = convolve(kernel, mask)
     assert spectra.cache_info()[:2] == (1, 2)
-    assert got.tobytes() == convolve(kernel, mask).tobytes()
+    assert got.tobytes() == kernel.op(64).forward(mask).tobytes()
 
 
-def test_convolve_cached_takes_any_memory_layout(spectra):
+def test_spectrum_cache_takes_any_memory_layout(spectra):
     # the key is the mask's C-order bytes: a Fortran-order copy of a cached
     # mask hits its entry. This mask's sum in Fortran order differs from
     # its C-order sum in the last bit, so a key summed in the order the
@@ -507,14 +512,14 @@ def test_convolve_cached_takes_any_memory_layout(spectra):
     rng = np.random.default_rng(0)
     base = np.clip(ten_rectangles(64) + 0.3 * rng.normal(size=(64, 64)), 0.0, 1.0)
     wide = rng.random((128, 128))
-    convolve_cached(kernel, base)
+    convolve(kernel, base)
     assert spectra.cache_info().misses == 1
     for mask, misses in ((np.asfortranarray(base), 1), (base[:, ::-1], 2),
                          (wide[::2, 1::2], 3)):
         assert not mask.flags.c_contiguous
-        want = convolve(kernel, np.ascontiguousarray(mask))
+        want = kernel.op(64).forward(np.ascontiguousarray(mask))
         for _ in range(2):
-            assert convolve_cached(kernel, mask).tobytes() == want.tobytes()
+            assert convolve(kernel, mask).tobytes() == want.tobytes()
         assert spectra.cache_info().misses == misses
 
 
@@ -523,13 +528,13 @@ def test_spectrum_cache_sees_a_mask_changed_in_place(spectra):
     kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
     mask = ten_rectangles(64)
     total = float(mask.sum())
-    first = convolve_cached(kernel, mask)
+    first = convolve(kernel, mask)
     one, zero = tuple(np.argwhere(mask == 1.0)[0]), tuple(np.argwhere(mask == 0.0)[0])
     mask[one], mask[zero] = 0.0, 1.0
     assert float(mask.sum()) == total
-    got = convolve_cached(kernel, mask)
+    got = convolve(kernel, mask)
     assert spectra.cache_info()[:2] == (0, 2)  # (hits, misses)
-    assert got.tobytes() == convolve(kernel, mask).tobytes()
+    assert got.tobytes() == kernel.op(64).forward(mask).tobytes()
     assert not np.array_equal(got, first)
 
 
@@ -539,10 +544,10 @@ def test_spectrum_budget_holds_a_process_window_cycle(spectra):
     kernel = build_psf(OpticsConfig(defocus_nm=50.0))
     masks = [RNG.random((144, 144)) for _ in range(12)]
     for mask in masks:
-        convolve_cached(kernel, mask)
+        convolve(kernel, mask)
     assert spectra.cache_info()[:2] == (0, 12)  # (hits, misses)
     for mask in masks:
-        convolve_cached(kernel, mask)
+        convolve(kernel, mask)
     assert spectra.cache_info()[:2] == (12, 12)
     # each entry owns columns 0..98 of its 196² spectrum, 196 x 99 complex128
     # values, half the full spectrum's 614,656 bytes; the spectra the
@@ -725,7 +730,13 @@ def test_sigmoid_converges_to_threshold():
 
 
 def test_threshold_equality_convention():
-    assert image_threshold(np.array([[0.3]]), 0.3)[0, 0] == 1.0
-    assert image_threshold(np.array([[0.29]]), 0.3)[0, 0] == 0.0
+    # the print is a bool map: True where the intensity reaches tr
+    assert image_threshold(np.array([[0.3]]), 0.3)[0, 0]
+    assert not image_threshold(np.array([[0.29]]), 0.3)[0, 0]
     binary = (RNG.random((6, 6)) < 0.5).astype(float)
-    assert np.array_equal(image_threshold(binary, 0.5), binary)
+    printed = image_threshold(binary, 0.5)
+    assert printed.dtype == bool
+    assert np.array_equal(printed, binary)
+    # compared in float64: float32(0.7) is 0.69999999 and does not print
+    # at tr 0.7, though it would against tr rounded to float32
+    assert not image_threshold(np.array([[0.7]], dtype=np.float32), 0.7)[0, 0]

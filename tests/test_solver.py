@@ -546,18 +546,24 @@ def test_u_step_takes_no_complex_abs(monkeypatch):
     assert np.iscomplexobj(hu) and not np.array_equal(out, u0)
 
 
-def test_solver_never_looks_up_the_spectrum_cache():
-    # the cache serves metrics.evaluate alone; a defocused solve must leave
-    # its counts as they were
-    before = optics._mask_spectrum.cache_info()
+def test_solver_looks_up_the_spectrum_cache_once(spectra):
+    # the U-step images float32 masks, which never touch the cache: a
+    # defocused solve's one float64 image, the start-up H U, makes its one
+    # lookup whatever the budget, and a solve at focus makes none
     target = np.zeros((32, 32))
     target[8:24, 10:22] = 1.0
-    oc = OpticsConfig(kernel_size=20, defocus_nm=10.0)
-    assert not build_psf(oc).op(32).real
-    cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2, descent_max_iters=3)
-    mask, records = admm_optimize(target, oc, cfg)
-    assert len(records) == 2 and mask.shape == target.shape
-    assert optics._mask_spectrum.cache_info() == before
+    for defocus, lookups in ((10.0, 1), (0.0, 0)):
+        oc = OpticsConfig(kernel_size=20, defocus_nm=defocus)
+        assert build_psf(oc).op(32).real == (defocus == 0.0)
+        for outer in (1, 3):
+            cfg = SolverConfig(outer_max_iters=outer, bregman_max_iters=2,
+                               descent_max_iters=3)
+            before = spectra.cache_info()
+            mask, records = admm_optimize(target, oc, cfg)
+            after = spectra.cache_info()
+            assert len(records) == outer and mask.shape == target.shape
+            assert (after.hits + after.misses
+                    - before.hits - before.misses) == lookups, (defocus, outer)
 
 
 def test_admm_is_deterministic():
