@@ -46,6 +46,25 @@ def as_binary(values) -> np.ndarray:
     return a
 
 
+def working_precision(*grids: np.ndarray) -> np.dtype:
+    """The package's one precision rule: float32 when numpy promotes the
+    grids to float32 or complex64, float64 otherwise (bool, integer,
+    float16, float64 and complex128 data alike). Every image, correlation
+    and regularization map runs in its inputs' working precision."""
+    single = np.result_type(*grids) in (np.float32, np.complex64)
+    return np.dtype(np.float32 if single else np.float64)
+
+
+def as_precision(grid: np.ndarray, precision) -> np.ndarray:
+    """grid cast to the real precision given, complex data to the complex
+    type of that precision; a grid already in it is returned itself (no
+    copy)."""
+    grid = np.asarray(grid)
+    if np.iscomplexobj(grid):
+        precision = np.result_type(precision, np.complex64)
+    return grid.astype(precision, copy=False)
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise GridError(f"dimension mismatch: {a.shape} vs {b.shape}")

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import expit
 
-from .grids import GridError, as_grid
+from .grids import GridError, as_grid, as_precision, working_precision
 
 # Frequency oversampling for the pupil quadrature in build_psf.  The pupil
 # disc at production parameters (NA=0.85, lambda=193nm, pixel 5nm, kernel
@@ -235,7 +235,10 @@ def _spectrum(u: np.ndarray, shape: tuple[int, int], real: bool,
     lattice of the square shape, by the passes _ConvOperator states for a
     real kernel (real) or a complex one: half of it (rfft layout) or all
     of it. Every spectrum the package takes, the operators' and the one
-    convolve caches half of in _mask_spectrum, is this routine's."""
+    convolve caches half of in _mask_spectrum, is this routine's. The grid
+    arrives in its operator's precision (float32, float64, complex64 or
+    complex128; _operator casts it), and the lattice is that precision's
+    complex type."""
     size, (rows, cols) = shape[0], u.shape
     hat = np.result_type(u, np.complex64)
     if real:
@@ -291,13 +294,15 @@ class _ConvOperator:
     those columns as the exact conjugates of their reflections, so the
     image is forward's bit for bit.
 
-    A single-precision operator (single=True) runs the same passes on
-    float32/complex64 input and returns its precision: the kernel spectrum
-    is built in float64 and then rounded to complex64, and forward and
-    adjoint return float32 (complex64 for a complex kernel's forward). It
-    agrees with the float64 operator to ~3e-7 relative. convolve and
-    convolve_adjoint take it for float32 or complex64 data, so the U-step,
-    whose state is single precision, runs on it.
+    An operator works in one precision, float64 or (single=True) float32:
+    every grid arrives already in it, float32/float64 or the complex type
+    of that precision, as _operator casts it by grids.working_precision.
+    A single-precision operator's kernel spectrum is built in float64 and
+    then rounded to complex64, and forward and adjoint return float32
+    (complex64 for a complex kernel's forward). It agrees with the float64
+    operator to ~3e-7 relative. convolve and convolve_adjoint take it for
+    float32 or complex64 data, so the U-step, whose state is single
+    precision, runs on it.
 
     An operator holds the kernel's spectrum and, after its first adjoint,
     that spectrum's conjugate: no scratch buffers, so no call depends on an
@@ -316,9 +321,10 @@ class _ConvOperator:
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
         self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
+        self.precision = np.dtype(np.float32 if single else np.float64)
         kernel_hat = _spectrum(kernel.real if self.real else kernel, self.shape,
                                self.real)
-        self.kernel_hat = kernel_hat.astype(np.complex64) if single else kernel_hat
+        self.kernel_hat = as_precision(kernel_hat, self.precision)
         self._adjoint_hat = None
 
     def image(self, half: np.ndarray) -> np.ndarray:
@@ -366,13 +372,15 @@ class _ConvOperator:
 
 def _operator(kernel: PsfKernel, name: str,
               a) -> tuple[_ConvOperator, np.ndarray]:
-    """a as an array, which must be a 2-D square grid (GridError else), and
-    kernel's operator for it: single precision for float32 or complex64
-    data, float64 otherwise."""
+    """kernel's operator for a, which must be a 2-D square grid (GridError
+    else), and a cast to that operator's precision: the imaging calls' one
+    application of grids.working_precision, so a bool, integer or float16
+    grid images as its float64 copy does."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GridError(f"{name} must be square, got shape {a.shape}")
-    return kernel.op(a.shape[0], a.dtype in (np.float32, np.complex64)), a
+    op = kernel.op(a.shape[0], working_precision(a) == np.float32)
+    return op, as_precision(a, op.precision)
 
 
 class _MaskKey:
@@ -413,16 +421,17 @@ def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
 
 def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     """H * U: zero-padded linear 2-D convolution, central n x n window, the
-    operator's forward bit for bit. The mask must be real; a float32 mask
-    convolves in single precision.
+    operator's forward bit for bit. The mask must be real. It arrives at
+    the operator in that operator's precision (_operator): a float32 mask
+    convolves in single precision, and any other mask as its float64 copy.
 
-    A float64 mask under a complex kernel is imaged from its half spectrum
-    in _mask_spectrum's LRU, shared by every kernel on the same lattice,
-    so a focus sweep transforms each mask once. Every other mask takes
-    forward; a real kernel's rfft2 spectra would evict a sweep's complex
-    ones. At production (196², 2-core x86_64) a hit took ~0.6x forward's
-    time and a miss 1.5-1.8x; no package path images one-off float64
-    masks under a complex kernel in volume."""
+    A mask that arrives as float64 under a complex kernel is imaged from
+    its half spectrum in _mask_spectrum's LRU, shared by every kernel on
+    the same lattice, so a focus sweep transforms each mask once. Every
+    other mask takes forward; a real kernel's rfft2 spectra would evict a
+    sweep's complex ones. At production (196², 2-core x86_64) a hit took
+    ~0.6x forward's time and a miss 1.5-1.8x; no package path images
+    one-off float64 masks under a complex kernel in volume."""
     op, u = _operator(kernel, "mask", u)
     if np.iscomplexobj(u):
         raise GridError("mask must be real, got complex data")
@@ -435,7 +444,8 @@ def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:
     """Re{H^* X}: the adjoint of convolve on real masks (the real part of
     the correlation with the conjugate kernel). X may be complex but must
     be a square grid; float32 or complex64 X correlates in single
-    precision and returns float32."""
+    precision and returns float32, and any other X correlates as its
+    float64 (complex128) copy and returns float64."""
     op, x = _operator(kernel, "image", x)
     return op.adjoint(x)
 

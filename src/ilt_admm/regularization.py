@@ -6,21 +6,16 @@ Phi(U), and the Bregman variables d and b of the U-step, are stacked
 2 the binarity penalty. The paper's regularizer
 b1 TV(U) + b2 ||U(1-U)||_1 is ||Phi(U)||_1, grids.l1_norm(phi(u, b1, b2)).
 
-Every map returns its input's floating precision (float64 for integer
-input), so the U-step's float32 state stays float32.
+Every map casts its input to grids.working_precision and returns that
+precision: float32 data, the U-step's state, stays float32, and any other
+real data maps as its float64 copy does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridError
-
-
-def _precision(*arrays: np.ndarray) -> np.dtype:
-    """The inputs' floating dtype: float32 stays float32, integers become
-    float64."""
-    return np.result_type(*arrays, 0.0)
+from .grids import GridError, as_precision, working_precision
 
 
 def diff_adjoint(yx: np.ndarray, yy: np.ndarray) -> np.ndarray:
@@ -29,7 +24,9 @@ def diff_adjoint(yx: np.ndarray, yy: np.ndarray) -> np.ndarray:
     The trailing column of yx / row of yy is ignored, matching the zero
     closure of the forward differences.
     """
-    out = np.zeros(yx.shape, _precision(yx, yy))
+    precision = working_precision(yx, yy)
+    yx, yy = as_precision(yx, precision), as_precision(yy, precision)
+    out = np.zeros(yx.shape, precision)
     out[:, 0] -= yx[:, 0]
     out[:, 1:-1] += yx[:, :-2] - yx[:, 1:-1]
     out[:, -1] += yx[:, -2]
@@ -45,7 +42,8 @@ def phi(u: np.ndarray, beta1: float, beta2: float) -> np.ndarray:
     closed by a zero trailing column/row, and [2] the binarity penalty."""
     if u.shape[0] < 2 or u.shape[1] < 2:
         raise GridError("differences need at least a 2x2 grid")
-    out = np.empty((3,) + u.shape, _precision(u))
+    u = as_precision(u, working_precision(u))
+    out = np.empty((3,) + u.shape, u.dtype)
     np.subtract(u[:, 1:], u[:, :-1], out=out[0, :, :-1])
     out[0, :, -1] = 0.0
     np.subtract(u[1:, :], u[:-1, :], out=out[1, :-1, :])
@@ -61,6 +59,7 @@ def shrink(x, kappa: float) -> np.ndarray:
     if kappa < 0:
         raise ValueError("shrink parameter must be nonnegative")
     x = np.asarray(x)
+    x = as_precision(x, working_precision(x))
     # a Python float takes x's precision; a numpy float64 would promote float32 x
     kappa = float(kappa)
     return np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)

@@ -15,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import optics as _optics
-from .grids import as_binary, inner, l1_norm, l2_norm, sum_squares
+from .grids import (as_binary, as_precision, inner, l1_norm, l2_norm,
+                    sum_squares)
 from .metrics import epe_error
 from .optics import (PsfKernel, aerial_image, check_settings, convolve,
                      convolve_adjoint, image_sigmoid)
@@ -163,12 +164,6 @@ def grad_F(u: np.ndarray, resid: np.ndarray, gap: np.ndarray,
     return grad
 
 
-def _single(a: np.ndarray) -> np.ndarray:
-    """a cast to complex64 when complex, to float32 otherwise: the U-step's
-    precision, which convolve and convolve_adjoint follow."""
-    return a.astype(np.complex64 if np.iscomplexobj(a) else np.float32)
-
-
 def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                  cfg: SolverConfig,
                  kernel: PsfKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +193,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     U-step holds for it, cast to float64 (complex128 for a complex image),
     or u_init and hu_init themselves when no sweep improved.
     """
-    u, hu, w = _single(u_init), _single(hu_init), _single(w)
+    u, hu, w = (as_precision(a, np.float32) for a in (u_init, hu_init, w))
     phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
     b = np.zeros_like(phi_u)
@@ -237,8 +232,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
 
         d = shrink(phi_u + b, 1.0 / cfg.gamma)
         b = b + phi_u - d
-    return (best_u.astype(float, copy=False),
-            best_hu.astype(np.promote_types(best_hu.dtype, float), copy=False))
+    return as_precision(best_u, np.float64), as_precision(best_hu, np.float64)
 
 
 def v_subproblem(w: np.ndarray, target: np.ndarray, rho: float,

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ilt_admm.grids import (GridError, as_binary, as_grid, inner, l1_norm,
-                            l2_norm, sum_squares)
+from ilt_admm.grids import (GridError, as_binary, as_grid, as_precision, inner,
+                            l1_norm, l2_norm, sum_squares, working_precision)
 
 finite_grids = arrays(np.float64, (5, 5),
                       elements=st.floats(-10, 10, allow_nan=False))
@@ -32,6 +32,29 @@ def test_l2_squared_is_self_inner(x, y):
         # numpy's pairwise sums agree with the BLAS reductions they replace
         assert l2_norm(z) == pytest.approx(np.linalg.norm(z), rel=1e-12, abs=1e-12)
         assert inner(z, y) == pytest.approx(np.vdot(z, y).real, rel=1e-12, abs=1e-9)
+
+
+def test_working_precision_is_single_only_for_float32_data():
+    # float32 when the grids promote to float32 or complex64, float64 for
+    # any other mix; the cast keeps complex data complex and returns a
+    # grid already in the precision itself
+    single = [(np.float32,), (np.complex64,), (np.float32, np.float16),
+              (np.float32, np.int8), (np.float32, np.complex64)]
+    double = [(bool,), (np.uint8,), (np.int8,), (np.int16,), (np.int64,),
+              (np.float16,), (np.float64,), (np.complex128,),
+              (np.float32, np.float64), (np.float32, np.int32)]
+    for dtypes in single + double:
+        grids = [np.zeros((2, 2), d) for d in dtypes]
+        want = np.float32 if dtypes in single else np.float64
+        assert working_precision(*grids) == want, dtypes
+    for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+        a = np.zeros((2, 2), dtype)
+        assert as_precision(a, working_precision(a)) is a
+    casts = [(np.float32, np.float64, np.float64), (np.int16, np.float32, np.float32),
+             (np.complex64, np.float64, np.complex128),
+             (np.complex128, np.float32, np.complex64)]
+    for dtype, precision, want in casts:
+        assert as_precision(np.zeros((2, 2), dtype), precision).dtype == want
 
 
 def test_sum_squares_single_precision():

@@ -1,6 +1,7 @@
 import ast
 import csv
 import gc
+import importlib
 import math
 import os
 import re
@@ -530,6 +531,20 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except _UsageError as exc:
             pytest.fail(f"{line!r}: {exc}")
+
+
+def test_console_script_names_the_cli_entry_point():
+    # pyproject.toml's [project.scripts] installs the ilt-admm command; it
+    # must name cli.main, read here from the file, so no install is needed
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["ilt-admm"] == "ilt_admm.cli:main"
+    module, _, name = scripts["ilt-admm"].partition(":")
+    entry = importlib.import_module(module)
+    for part in name.split("."):
+        entry = getattr(entry, part)
+    assert callable(entry) and entry is cli.main
 
 
 def test_readme_states_no_timings():

@@ -357,6 +357,27 @@ def test_precision_follows_the_data():
             assert np.array_equal(got, op.adjoint(data)), (defocus, data.dtype)
 
 
+def test_other_dtypes_image_as_their_float64_copy(spectra):
+    # bool, integer and float16 grids take the float64 operator with the
+    # grid cast to float64: convolve and convolve_adjoint return their
+    # float64 copy's results by bytes, as float64 (complex128 for a complex
+    # kernel's image), under a real and a complex kernel
+    n = 32
+    values = RNG.integers(-100, 101, (n, n))
+    grids = [RNG.random((n, n)) < 0.5, np.abs(values).astype(np.uint8),
+             RNG.random((n, n)).astype(np.float16)]
+    grids += [values.astype(t) for t in (np.int8, np.int16, np.int32, np.int64)]
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        for grid in grids:
+            copy = grid.astype(np.float64)
+            for f in (convolve, convolve_adjoint):
+                got, want = f(kernel, grid), f(kernel, copy)
+                assert got.dtype in (np.float64, np.complex128), (defocus, grid.dtype)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (defocus, grid.dtype, f)
+
+
 def full_lattice_spectrum(op, samples):
     """The spectrum of the operator's kernel samples by one whole 2-D
     transform: rfft2 for a real kernel, fft2 for a complex one."""
@@ -465,26 +486,33 @@ def test_spectrum_cache_keeps_the_half_spectrum(spectra):
             assert not entry.flags.writeable
 
 
-def test_convolve_caches_only_float64_masks_under_a_complex_kernel(spectra):
-    # the cache key's bytes read back as float64, so a float32, int or bool
-    # mask under a complex kernel, and every mask under a real one, takes
-    # the operator's forward: the cache is left as it was and the image is
-    # forward's by bytes. A complex or non-square mask fails loudly.
+def test_convolve_caches_every_mask_imaged_in_float64_under_a_complex_kernel(spectra):
+    # an int64 or bool mask images as its float64 copy, so under a complex
+    # kernel it takes the cache like that copy: the first lookup inserts
+    # the 0/1 mask's half spectrum, the second hits it, and each image is
+    # the copy's forward by bytes. A float32 mask under a complex kernel,
+    # and every mask under a real one, takes the operator's forward and
+    # leaves the cache as it was. A complex or non-square mask fails loudly.
     mask = ten_rectangles(64)
-    others = [mask.astype(np.float32), mask.astype(np.int64), mask.astype(bool)]
     for d in (0.0, 50.0):
         kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=d))
-        for other in others + ([mask] if d == 0.0 else []):
-            want = kernel.op(64, other.dtype == np.float32).forward(other)
+        others = [mask.astype(np.float32)] + ([mask] if d == 0.0 else [])
+        for other in others + [mask.astype(np.int64), mask.astype(bool)]:
+            single = other.dtype == np.float32
+            want = kernel.op(64, single).forward(other if single else mask)
             before = spectra.cache_info()
             got = convolve(kernel, other)
-            assert spectra.cache_info() == before, (d, other.dtype)
+            after = spectra.cache_info()
+            if d == 0.0 or single:
+                assert after == before, (d, other.dtype)
+            else:
+                assert after.hits + after.misses == before.hits + before.misses + 1
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (d, other.dtype)
         for bad in (mask.astype(complex), mask[:, :32], mask[0]):
             with pytest.raises(GridError):
                 convolve(kernel, bad)
-    assert spectra.cache_info().currsize == 0
+    assert spectra.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_spectrum_cache_tells_negative_zero_from_zero(spectra):

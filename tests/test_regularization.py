@@ -129,7 +129,8 @@ def adjoint_formula(yx, yy):
 def test_maps_follow_their_input_precision(n):
     # float64 input gives the formulas' bytes, so criterion 2 and the solver
     # records cannot drift; float32 input, the U-step's, stays float32 and
-    # within 1e-6 of the float64 result on the same values
+    # within 1e-6 of the float64 result on the same values; float16 and
+    # integer input map as their float64 copy, bit for bit
     u, yx, yy = RNG.random((n, n)), RNG.normal(size=(n, n)), RNG.normal(size=(n, n))
     x = RNG.normal(size=(3, n, n))
     b1, b2, kappa = 0.01, 0.015, 1.0 / 30.0
@@ -150,6 +151,12 @@ def test_maps_follow_their_input_precision(n):
         want = f(*(a.astype(np.float64) for a in single))
         assert got.dtype == np.float32, name
         assert np.abs(got - want).max() <= 1e-6 * max(np.abs(want).max(), 1.0), name
+        for other in ([a.astype(np.float16) for a in args],
+                      [np.round(50 * a).astype(np.int16) for a in args]):
+            got = f(*other)
+            want = f(*(a.astype(np.float64) for a in other))
+            assert got.dtype == np.float64, (name, other[0].dtype)
+            assert got.tobytes() == want.tobytes(), (name, other[0].dtype)
     # a numpy-scalar threshold (a SolverConfig may hold one) keeps float32
     assert shrink(x.astype(np.float32), np.float64(kappa)).dtype == np.float32
     # the norms sum in float64 whatever the input's precision

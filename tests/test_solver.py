@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ilt_admm import optics, solver
-from ilt_admm.grids import inner, l1_norm
+from ilt_admm.grids import as_precision, inner, l1_norm
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
 from oracles import fd_gradient, v_oracle_min_batch
@@ -514,7 +514,7 @@ def test_first_armijo_trial_is_the_clamped_gradient_step(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(solver, "convolve", recording)
                 u_subproblem(w, u0, hu0, cfg, kernel)
-            u, hu, w_single = (solver._single(a) for a in (u0, hu0, w))
+            u, hu, w_single = (as_precision(a, np.float32) for a in (u0, hu0, w))
             d = phi(u, cfg.beta1, cfg.beta2)
             _, resid, gap = bregman_objective(hu, w_single, d, np.zeros_like(d),
                                               cfg, phi(u, cfg.beta1, cfg.beta2))
