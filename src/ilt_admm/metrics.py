@@ -49,7 +49,8 @@ def epe_report(output: np.ndarray, target: np.ndarray) -> EvaluationReport:
 
 
 def epe_error(output: np.ndarray, target: np.ndarray) -> float:
-    """l2 norm of the EPE map: sqrt(#differing pixels)."""
+    """l2 norm of the EPE map: sqrt(#differing pixels). No package path
+    calls it; perfbench/tracing.py wraps it by name."""
     return epe_report(output, target).error
 
 

@@ -11,7 +11,6 @@ defocus enters as a phase aberration inside the pupil.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import numbers
@@ -77,14 +76,10 @@ class OpticsConfig:
             raise ValueError("resist threshold must lie in (0, 1)")
 
 
-# At most this many convolution operators stay cached across all live
-# kernels. A float64 one holds a 614 KB complex128 spectrum at the production
-# setting; a solve uses two (float64 and single precision) of one kernel.
-OPERATOR_LIMIT = 4
-
-# (weakref to kernel, op key) per operator build, oldest first: weak, so a
-# dropped kernel frees its operators at once, whatever their age
-_BUILT: collections.deque = collections.deque()
+# The one kernel whose operators are cached (see PsfKernel.op), held weakly.
+# A float64 operator holds a 614 KB complex128 spectrum at the production
+# setting.
+_cached_kernel: weakref.ref[PsfKernel] | None = None
 
 
 @dataclass
@@ -92,9 +87,9 @@ class PsfKernel:
     """Spatial convolution kernel with its optics metadata.
 
     samples is a kernel_size x kernel_size complex array; dc_gain is the
-    magnitude of its sum (1.0 after build_psf normalization). A kernel
-    caches its convolution operators, within OPERATOR_LIMIT across all
-    live kernels (see op).
+    magnitude of its sum (1.0 after build_psf normalization). One kernel
+    at a time caches its convolution operators, the last one to build one
+    (see op).
     """
 
     samples: np.ndarray
@@ -110,19 +105,22 @@ class PsfKernel:
         """FFT convolution operator for n x n inputs, cached per size and
         precision: float64 unless single.
 
-        Each build counts against OPERATOR_LIMIT: past it, the oldest
-        build's operator leaves its kernel's cache, if that kernel is
-        still alive, and the next op call for it rebuilds it bit for bit.
-        A cache hit leaves the order alone."""
+        The package images through one kernel at a time (a solve uses two
+        operators of its kernel, a focus sweep one per kernel), so only the
+        kernel that built an operator last keeps any: a build for another
+        kernel first empties that kernel's cache, and its next op call
+        rebuilds the operator bit for bit. A dropped kernel frees its
+        operators at once, since the module holds it weakly."""
+        global _cached_kernel
         key = (n, single)
         op = self._ops.get(key)
         if op is None:
+            cached = None if _cached_kernel is None else _cached_kernel()
+            if cached is not self:
+                if cached is not None:
+                    cached._ops.clear()
+                _cached_kernel = weakref.ref(self)
             op = self._ops[key] = _ConvOperator(self.samples, n, single)
-            _BUILT.append((weakref.ref(self), key))
-            if len(_BUILT) > OPERATOR_LIMIT:
-                ref, old = _BUILT.popleft()
-                if (kernel := ref()) is not None:
-                    kernel._ops.pop(old, None)
         return op
 
 

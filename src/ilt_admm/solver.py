@@ -17,7 +17,7 @@ import numpy as np
 from . import optics as _optics
 from .grids import (as_binary, as_precision, inner, l1_norm, l2_norm,
                     sum_squares)
-from .metrics import epe_error
+from .metrics import mismatch_report
 from .optics import (PsfKernel, aerial_image, check_settings, convolve,
                      convolve_adjoint, image_sigmoid)
 from .regularization import diff_adjoint, phi, shrink
@@ -319,7 +319,7 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
             _check_finite(name, val, it)
 
         printed = _optics.image_threshold(_optics.aerial_image(hu), tr)
-        err = epe_error(printed, target)
+        err = mismatch_report(printed != target).error
         if err < best_err:
             best_u, best_err = u, err
         rec = ConvergenceRecord(

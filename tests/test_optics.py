@@ -9,10 +9,9 @@ from scipy import fft as sfft
 from ilt_admm import optics
 from ilt_admm.grids import GridError
 from ilt_admm.metrics import evaluate
-from ilt_admm.optics import (OPERATOR_LIMIT, OpticsConfig, PsfKernel, _MaskKey,
-                             _quadrature, _spectrum, aerial_image, build_psf,
-                             convolve, convolve_adjoint, image_sigmoid,
-                             image_threshold)
+from ilt_admm.optics import (OpticsConfig, PsfKernel, _MaskKey, _quadrature,
+                             _spectrum, aerial_image, build_psf, convolve,
+                             convolve_adjoint, image_sigmoid, image_threshold)
 from ilt_admm.solver import SolverConfig, admm_optimize
 from ilt_admm.targets import ten_rectangles
 from oracles import (bessel_j1, convolve_naive, psf_focus_einsum,
@@ -603,29 +602,21 @@ def builds(monkeypatch):
     return keys
 
 
-def test_operator_limit_drops_the_oldest_build():
-    # OPERATOR_LIMIT builds across five live kernels: the fifth build takes
-    # the first kernel's operator out of its cache, so nothing holds it any
-    # more, and the four newest stay cached as the same objects
-    assert OPERATOR_LIMIT == 4
-    kernels = [PsfKernel(RNG.normal(size=(5, 5))) for _ in range(5)]
-    first = weakref.ref(kernels[0].op(8))
-    newest = [kernel.op(8) for kernel in kernels[1:4]]
-    assert first() is not None
-    newest.append(kernels[4].op(8))
-    assert first() is None
-    assert kernels[0]._ops == {}
-    for kernel, op in reversed(list(zip(kernels[1:], newest))):
-        assert kernel.op(8) is op
-    # hits leave the build order alone, so a rebuild drops kernels[1]'s
-    kernels[0].op(8)
-    assert kernels[1]._ops == {}
-    assert [kernel.op(8) for kernel in kernels[2:]] == newest[1:]
-    # an eviction drops one operator, not its kernel's others
-    single = kernels[4].op(8, single=True)
-    for kernel in kernels[1:3]:
-        kernel.op(8)
-    assert kernels[4]._ops == {(8, True): single}
+def test_one_kernel_keeps_its_operators():
+    # a build for kernel b empties kernel a's cache, so nothing holds a's
+    # two operators any more; b keeps its one, and a hit on it returns the
+    # same object; a rebuild for a then empties b's cache in turn
+    a, b = (PsfKernel(RNG.normal(size=(5, 5))) for _ in range(2))
+    built = [weakref.ref(a.op(8)), weakref.ref(a.op(8, single=True))]
+    assert all(ref() is not None for ref in built)
+    op = b.op(8)
+    assert a._ops == {}
+    assert all(ref() is None for ref in built)
+    assert b._ops == {(8, False): op}
+    assert b.op(8) is op
+    a.op(8)
+    assert b._ops == {}
+    assert list(a._ops) == [(8, False)]
 
 
 def test_evicted_operator_rebuilds_bit_for_bit():
@@ -642,9 +633,8 @@ def test_evicted_operator_rebuilds_bit_for_bit():
             image = convolve(kernel, u.astype(dtype)).tobytes()
             adjoint = convolve_adjoint(kernel, x.astype(np.result_type(dtype, 1j))).tobytes()
             del op
-            others = [PsfKernel(RNG.normal(size=(3, 3))) for _ in range(OPERATOR_LIMIT)]
-            for other in others:
-                other.op(n)
+            other = PsfKernel(RNG.normal(size=(3, 3)))
+            other.op(n)
             assert kernel._ops == {}
             rebuilt = kernel.op(n, single=dtype == np.float32)
             assert rebuilt.kernel_hat.tobytes() == spectrum
@@ -654,8 +644,8 @@ def test_evicted_operator_rebuilds_bit_for_bit():
 
 
 def test_dropped_kernel_frees_its_operators_at_once():
-    # the limit's record holds kernels weakly: a kernel dropped while its
-    # operators are among the newest builds frees them without a gc pass
+    # the module holds the caching kernel weakly: a kernel dropped while
+    # its operators are cached frees them without a gc pass
     kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
     ops = [weakref.ref(kernel.op(32)), weakref.ref(kernel.op(32, single=True))]
     convolve_adjoint(kernel, complex_normal((32, 32)))  # the conjugate too
@@ -681,7 +671,8 @@ def test_a_solve_builds_two_operators(builds):
 def test_focus_sweep_builds_one_operator_per_kernel(builds, spectra):
     # a process window images each of its masks at one focus setting after
     # another; every kernel is kept, as a caller keeps the kernels of the
-    # images it checks, and still each builds its operator once
+    # images it checks, and still each builds its operator once, and only
+    # the last one keeps it
     target = ten_rectangles(64)
     masks = [target] + [np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
                         for _ in range(11)]
@@ -693,7 +684,7 @@ def test_focus_sweep_builds_one_operator_per_kernel(builds, spectra):
             evaluate(mask, target, oc, kernel=kernel)
         kept.append(kernel)
     assert builds == [(64, False)] * 21
-    assert sum(len(kernel._ops) for kernel in kept) <= OPERATOR_LIMIT
+    assert [len(kernel._ops) for kernel in kept] == [0] * 20 + [1]
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():

@@ -5,7 +5,8 @@ Code kept alive only by its tests is a second copy of a rule the program no
 longer follows. The check reads the source the way test_no_blas.py does: a
 definition counts as used when its name is read (as a name or an attribute)
 outside its own definition, anywhere in src/ilt_admm or in perfbench/*.py.
-An import alone does not count.
+An import alone does not count, and an import that nothing in its module
+reads is refused too.
 """
 
 import ast
@@ -55,9 +56,30 @@ def unused_definitions(modules: dict[str, ast.Module],
     return unused
 
 
+def unused_imports(modules: dict[str, ast.Module]) -> list[str]:
+    """'module.name' of each name a top-level import of modules binds that
+    nothing in that module reads. A from-__future__ import binds nothing."""
+    unused = []
+    for module, tree in modules.items():
+        read = names_read(tree)  # an import statement reads no name
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{module}.{name}")
+    return unused
+
+
+def package_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_definition_is_reachable():
-    modules = {path.stem: ast.parse(path.read_text(), str(path))
-               for path in sorted(PACKAGE.glob("*.py"))}
+    modules = package_modules()
     readers = [ast.parse(path.read_text(), str(path))
                for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert modules and readers
@@ -77,3 +99,20 @@ def test_reachability_guard_sees_each_form():
         "m.recursive", "m.Unused", "m.caller"]
     assert unused_definitions({"m": tree}, [ast.parse("pkg.m.caller()")]) == [
         "m.recursive", "m.Unused"]
+
+
+def test_every_import_is_read():
+    modules = package_modules()
+    assert modules
+    assert unused_imports(modules) == []
+
+
+def test_import_guard_sees_each_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from a import b, c as d\n"
+        "def f(x: np.ndarray) -> int: return sys.maxsize + d\n")
+    assert unused_imports({"m": tree}) == ["m.os", "m.os", "m.b"]
