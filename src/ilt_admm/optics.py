@@ -76,52 +76,59 @@ class OpticsConfig:
             raise ValueError("resist threshold must lie in (0, 1)")
 
 
-# The one kernel whose operators are cached (see PsfKernel.op), held weakly.
-# A float64 operator holds a 614 KB complex128 spectrum at the production
-# setting.
-_cached_kernel: weakref.ref[PsfKernel] | None = None
+# The one cached operator (see PsfKernel.op): a weak reference to its
+# kernel, its field size and the operator. It holds a 614 KB complex128
+# spectrum at the production setting.
+_slot: tuple[weakref.ref, int, _ConvOperator] | None = None
 
 
-@dataclass
+def _release(ref: weakref.ref) -> None:
+    """Empty the slot when its kernel dies."""
+    global _slot
+    if _slot is not None and _slot[0] is ref:
+        _slot = None
+
+
+@dataclass(eq=False, frozen=True)
 class PsfKernel:
     """Spatial convolution kernel with its optics metadata.
 
-    samples is a kernel_size x kernel_size complex array; dc_gain is the
-    magnitude of its sum (1.0 after build_psf normalization). One kernel
-    at a time caches its convolution operators, the last one to build one
-    (see op).
+    samples is a read-only kernel_size x kernel_size complex array; dc_gain
+    is the magnitude of its sum (1.0 after build_psf normalization). A
+    kernel's fields cannot be reassigned. Kernels compare and hash by
+    identity, the key of the operator cache (see op).
     """
 
     samples: np.ndarray
     config: OpticsConfig | None = None
     dc_gain: float = field(init=False)
-    _ops: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.samples = as_grid(self.samples, complex_ok=True)
-        self.dc_gain = float(abs(self.samples.sum()))
+        samples = as_grid(self.samples, complex_ok=True)
+        # a cached operator holds the samples' spectrum, so a kernel keeps
+        # samples no one can write: an array the caller could still write
+        # to, their own or a view, is copied first
+        if samples.base is not None or (samples is self.samples
+                                        and samples.flags.writeable):
+            samples = samples.copy()
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "dc_gain", float(abs(samples.sum())))
 
-    def op(self, n: int, single: bool = False) -> "_ConvOperator":
-        """FFT convolution operator for n x n inputs, cached per size and
-        precision: float64 unless single.
+    def op(self, n: int) -> "_ConvOperator":
+        """FFT convolution operator for n x n inputs, in both precisions.
 
-        The package images through one kernel at a time (a solve uses two
-        operators of its kernel, a focus sweep one per kernel), so only the
-        kernel that built an operator last keeps any: a build for another
-        kernel first empties that kernel's cache, and its next op call
-        rebuilds the operator bit for bit. A dropped kernel frees its
-        operators at once, since the module holds it weakly."""
-        global _cached_kernel
-        key = (n, single)
-        op = self._ops.get(key)
-        if op is None:
-            cached = None if _cached_kernel is None else _cached_kernel()
-            if cached is not self:
-                if cached is not None:
-                    cached._ops.clear()
-                _cached_kernel = weakref.ref(self)
-            op = self._ops[key] = _ConvOperator(self.samples, n, single)
-        return op
+        The package images through one kernel at a time (a solve uses one
+        operator, a focus sweep one per kernel), so the module caches one
+        operator, the last one built: an op call for another kernel or size
+        first empties the slot, so two spectra are never alive together,
+        and the next call for this kernel rebuilds the operator bit for
+        bit. The slot holds the kernel weakly, and empties when it dies."""
+        global _slot
+        if _slot is None or _slot[0]() is not self or _slot[1] != n:
+            _slot = None
+            _slot = (weakref.ref(self, _release), n, _ConvOperator(self.samples, n))
+        return _slot[2]
 
 
 # a focus sweep needs one entry; each holds ~0.38 MB at the production setting
@@ -224,6 +231,7 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     top[:, half:] = top[:, :rest][:, ::-1]
     h[half:] = h[:rest][::-1]
     h /= h.sum()
+    h.flags.writeable = False  # so the kernel keeps h itself (no copy)
     return PsfKernel(samples=h, config=cfg)
 
 
@@ -234,7 +242,7 @@ def _spectrum(u: np.ndarray, shape: tuple[int, int], real: bool,
     real kernel (real) or a complex one: half of it (rfft layout) or all
     of it. Every spectrum the package takes, the operators' and the one
     convolve caches half of in _mask_spectrum, is this routine's. The grid
-    arrives in its operator's precision (float32, float64, complex64 or
+    arrives in its working precision (float32, float64, complex64 or
     complex128; _operator casts it), and the lattice is that precision's
     complex type."""
     size, (rows, cols) = shape[0], u.shape
@@ -292,23 +300,21 @@ class _ConvOperator:
     those columns as the exact conjugates of their reflections, so the
     image is forward's bit for bit.
 
-    An operator works in one precision, float64 or (single=True) float32:
-    every grid arrives already in it, float32/float64 or the complex type
-    of that precision, as _operator casts it by grids.working_precision.
-    A single-precision operator's kernel spectrum is built in float64 and
-    then rounded to complex64, and forward and adjoint return float32
-    (complex64 for a complex kernel's forward). It agrees with the float64
-    operator to ~3e-7 relative. convolve and convolve_adjoint take it for
-    float32 or complex64 data, so the U-step, whose state is single
-    precision, runs on it.
+    An operator serves both precisions: every grid arrives already in its
+    working precision, float32/float64 or the complex type of that
+    precision, as _operator casts it by grids.working_precision, and each
+    product takes the kernel spectrum in its data's precision. kernel_hat
+    is built in float64; its complex64 rounding and each conjugate are made
+    from it on first use and kept. Single-precision data, the U-step's
+    state, returns float32 (complex64 for a complex kernel's forward),
+    within ~3e-7 relative of its float64 copy's result.
 
-    An operator holds the kernel's spectrum and, after its first adjoint,
-    that spectrum's conjugate: no scratch buffers, so no call depends on an
-    earlier one. It holds no PsfKernel, so a kernel and its cached
-    operators form no reference cycle.
+    An operator holds those spectra and no scratch buffers, so no call
+    depends on an earlier one. It holds no PsfKernel, so the cache keeps
+    no kernel alive.
     """
 
-    def __init__(self, kernel: np.ndarray, n: int, single: bool = False):
+    def __init__(self, kernel: np.ndarray, n: int):
         k = kernel.shape[0]
         self.n = n
         self.crop = (k - 1) // 2  # central-window offset into the full conv
@@ -319,11 +325,18 @@ class _ConvOperator:
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
         self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
-        self.precision = np.dtype(np.float32 if single else np.float64)
-        kernel_hat = _spectrum(kernel.real if self.real else kernel, self.shape,
-                               self.real)
-        self.kernel_hat = as_precision(kernel_hat, self.precision)
-        self._adjoint_hat = None
+        self.kernel_hat = _spectrum(kernel.real if self.real else kernel,
+                                    self.shape, self.real)
+        self._hats = {}
+
+    def _hat(self, dtype: np.dtype, conj: bool = False) -> np.ndarray:
+        """The kernel spectrum as the complex dtype, conjugated if conj:
+        kernel_hat itself, or made from it on first use and kept."""
+        key = (dtype, conj)
+        if key not in self._hats:
+            self._hats[key] = (np.conj(self._hat(dtype)) if conj
+                               else self.kernel_hat.astype(dtype, copy=False))
+        return self._hats[key]
 
     def image(self, half: np.ndarray) -> np.ndarray:
         """forward of a real grid under a complex kernel, from columns
@@ -334,13 +347,13 @@ class _ConvOperator:
         y[:, :h] = half
         np.conjugate(half[0, size - h:0:-1], out=y[0, h:])
         np.conjugate(half[:0:-1, size - h:0:-1], out=y[1:, h:])
-        y *= self.kernel_hat
+        y *= self._hat(y.dtype)
         return self._inverse(y, self.crop)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Linear convolution of an n x n grid, cropped to the central window."""
         u_hat = _spectrum(u, self.shape, self.real)
-        u_hat *= self.kernel_hat
+        u_hat *= self._hat(u_hat.dtype)
         return self._inverse(u_hat, self.crop)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
@@ -348,10 +361,8 @@ class _ConvOperator:
         spectrum of x at the crop offset times the conjugate kernel
         spectrum, inverted and cropped at the origin. A real kernel
         correlates Re x only, since Re{H^* x} = H^T Re x."""
-        if self._adjoint_hat is None:
-            self._adjoint_hat = np.conj(self.kernel_hat)
         y_hat = _spectrum(x, self.shape, self.real, self.crop)
-        y_hat *= self._adjoint_hat
+        y_hat *= self._hat(y_hat.dtype, conj=True)
         return self._inverse(y_hat, 0).real
 
     def _inverse(self, y_hat: np.ndarray, start: int) -> np.ndarray:
@@ -371,14 +382,13 @@ class _ConvOperator:
 def _operator(kernel: PsfKernel, name: str,
               a) -> tuple[_ConvOperator, np.ndarray]:
     """kernel's operator for a, which must be a 2-D square grid (GridError
-    else), and a cast to that operator's precision: the imaging calls' one
+    else), and a cast to its working precision: the imaging calls' one
     application of grids.working_precision, so a bool, integer or float16
     grid images as its float64 copy does."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GridError(f"{name} must be square, got shape {a.shape}")
-    op = kernel.op(a.shape[0], working_precision(a) == np.float32)
-    return op, as_precision(a, op.precision)
+    return kernel.op(a.shape[0]), as_precision(a, working_precision(a))
 
 
 class _MaskKey:
@@ -420,7 +430,7 @@ def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
 def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     """H * U: zero-padded linear 2-D convolution, central n x n window, the
     operator's forward bit for bit. The mask must be real. It arrives at
-    the operator in that operator's precision (_operator): a float32 mask
+    the operator in its working precision (_operator): a float32 mask
     convolves in single precision, and any other mask as its float64 copy.
 
     A mask that arrives as float64 under a complex kernel is imaged from

@@ -183,7 +183,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     The state is single precision: u_init, hu_init and W are cast once to
     float32 (complex64 for a complex image); U, every trial U_t, Phi(U), d,
     b, the split gap, the residual and the gradient stay so, so every image
-    and adjoint runs on the single-precision operator, and every scalar
+    and adjoint runs in single precision, and every scalar
     compared (F, the Armijo move ||U - U_t||^2, the original objective) is
     a float64 sum. The original objective reads Phi(U) from the split the
     U-step forms anyway: at u_init the Phi that starts d, at each sweep

@@ -569,7 +569,7 @@ def test_cli_sweep(tmp_path):
 
 def test_cli_sweep_keeps_one_kernels_operators(tmp_path, monkeypatch):
     # sweep keeps every noisy kernel until it ends, and each solve builds
-    # two operators of its kernel: after every cell only those two are alive
+    # one operator of its kernel: after every cell only that one is alive
     target = small_target(tmp_path)
     live = []
     solve = cli.admm_optimize
@@ -587,7 +587,7 @@ def test_cli_sweep_keeps_one_kernels_operators(tmp_path, monkeypatch):
                     "--descent-iters", "2", "--kernel-noise", ",".join(levels),
                     "--output-dir", str(tmp_path / "sw")]) == 0
     assert len(live) == len(levels)
-    assert max(live) <= 2, live
+    assert max(live) <= 1, live
 
 
 def test_cli_simulate_images_mask_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import weakref
 
@@ -302,58 +303,88 @@ def test_adjoint_carries_no_state_between_calls():
 
 
 def test_single_precision_operator_tracks_float64():
-    # the U-step's operator, which float32/complex64 data selects:
+    # the U-step's precision, which float32/complex64 data selects:
     # float32/complex64 inside and out, within 1e-6 relative of the float64
-    # operator and an exact adjoint pair to 1e-6; using it leaves the
-    # kernel's float64 operator unchanged
+    # results and an exact adjoint pair to 1e-6. The one operator serves
+    # both: its complex64 spectrum is its float64 one rounded, and using it
+    # leaves the float64 spectrum's bytes unchanged
     cases = [(RNG.normal(size=(6, 6)), 9), (complex_normal((6, 6)), 9)]
     cases += [(build_psf(OpticsConfig(defocus_nm=d)).samples, 144)
               for d in (0.0, 50.0)]
     for samples, n in cases:
         kernel = PsfKernel(samples)
-        single = kernel.op(n, single=True)
-        assert single is not kernel.op(n)
-        assert np.array_equal(single.kernel_hat,
-                              kernel.op(n).kernel_hat.astype(np.complex64))
+        op = kernel.op(n)
+        spectrum = op.kernel_hat.tobytes()
         u, x = RNG.random((n, n)), complex_normal((n, n))
         u_single, x_single = u.astype(np.float32), x.astype(np.complex64)
         for _ in range(2):  # a second call as the first
             hu = convolve(kernel, u_single)
             hx = convolve_adjoint(kernel, x_single)
             want_hu, want_hx = convolve(kernel, u), convolve_adjoint(kernel, x)
-            assert hu.dtype == (np.float32 if single.real else np.complex64)
+            assert hu.dtype == (np.float32 if op.real else np.complex64)
             assert hx.dtype == np.float32
             assert np.abs(hu - want_hu).max() <= 1e-6 * np.abs(want_hu).max()
             assert np.abs(hx - want_hx).max() <= 1e-6 * np.abs(want_hx).max()
             lhs, rhs = np.vdot(hu, x).real, np.vdot(u, hx)
             assert abs(lhs - rhs) <= 1e-6 * abs(lhs), n
+        assert kernel.op(n) is op
+        assert op.kernel_hat.dtype == np.complex128
+        assert op.kernel_hat.tobytes() == spectrum
+        assert np.array_equal(op._hat(np.dtype(np.complex64)),
+                              op.kernel_hat.astype(np.complex64))
         fresh = PsfKernel(samples)
         assert np.array_equal(convolve(kernel, u), convolve(fresh, u))
         assert np.array_equal(convolve_adjoint(kernel, x),
                               convolve_adjoint(fresh, x))
 
 
-def test_precision_follows_the_data():
-    # float32 or complex64 data takes the kernel's single-precision
-    # operator, bit for bit, and returns single precision; float64 or
-    # complex128 data takes the float64 operator, whose bytes stay its own
+@pytest.fixture
+def spectra_taken(monkeypatch):
+    """The (dtype, conj) of every kernel spectrum an operator's product
+    takes during the test, in order (a conjugate also records the spectrum
+    it conjugates, on its first use)."""
+    taken = []
+    hat = optics._ConvOperator._hat
+
+    def recording(self, dtype, conj=False):
+        taken.append((np.dtype(dtype), conj))
+        return hat(self, dtype, conj)
+
+    monkeypatch.setattr(optics._ConvOperator, "_hat", recording)
+    return taken
+
+
+def test_precision_follows_the_data(spectra_taken):
+    # float32 or complex64 data multiplies by the complex64 rounding of
+    # the kernel spectrum and returns single precision; float64 or
+    # complex128 data by the complex128 spectrum itself, whose bytes stay
+    # its own. A forward takes the spectrum, an adjoint its conjugate
     n = 32
+    c64, c128 = np.dtype(np.complex64), np.dtype(np.complex128)
     for defocus in (0.0, 50.0):
         kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
-        single, double = kernel.op(n, single=True), kernel.op(n)
+        op = kernel.op(n)
         u = RNG.random((n, n))
         x = complex_normal((n, n))
         u32 = u.astype(np.float32)
+        spectra_taken.clear()
         hu = convolve(kernel, u32)
-        assert np.array_equal(hu, single.forward(u32))
-        assert hu.dtype == (np.float32 if single.real else np.complex64)
-        assert np.array_equal(convolve(kernel, u), double.forward(u))
+        assert spectra_taken == [(c64, False)]
+        assert hu.dtype == (np.float32 if op.real else np.complex64)
+        spectra_taken.clear()
+        convolve(kernel, u)
+        assert spectra_taken == [(c128, False)]
+        assert op._hat(c128) is op.kernel_hat
         for data, dtype in ((u32, np.float32), (x.astype(np.complex64), np.float32),
                             (u, np.float64), (x, np.float64)):
+            spectra_taken.clear()
             got = convolve_adjoint(kernel, data)
             assert got.dtype == dtype, (defocus, data.dtype)
-            op = single if dtype == np.float32 else double
-            assert np.array_equal(got, op.adjoint(data)), (defocus, data.dtype)
+            hat = c64 if dtype == np.float32 else c128
+            assert spectra_taken[0] == (hat, True), (defocus, data.dtype)
+            assert {dtype for dtype, _ in spectra_taken} == {hat}
+            assert np.array_equal(op._hat(hat, conj=True), np.conj(op._hat(hat)))
+        assert kernel.op(n) is op
 
 
 def test_other_dtypes_image_as_their_float64_copy(spectra):
@@ -498,7 +529,7 @@ def test_convolve_caches_every_mask_imaged_in_float64_under_a_complex_kernel(spe
         others = [mask.astype(np.float32)] + ([mask] if d == 0.0 else [])
         for other in others + [mask.astype(np.int64), mask.astype(bool)]:
             single = other.dtype == np.float32
-            want = kernel.op(64, single).forward(other if single else mask)
+            want = kernel.op(64).forward(other if single else mask)
             before = spectra.cache_info()
             got = convolve(kernel, other)
             after = spectra.cache_info()
@@ -587,92 +618,141 @@ def test_spectrum_budget_holds_a_process_window_cycle(spectra):
             half[0, 0] = 0.0
 
 
+@dataclasses.dataclass
+class Builds:
+    sizes: list  # the field size n of each operator built, in build order
+    kernel_spectra: list  # the shape of each kernel transformed
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """The keys (n, single) of the operators built during the test, in
-    build order."""
-    keys = []
-    init = optics._ConvOperator.__init__
+    """The operators built and kernels transformed during the test; a
+    kernel transform is a _spectrum of a grid smaller than every field the
+    tests below image."""
+    builds = Builds([], [])
+    init, spectrum = optics._ConvOperator.__init__, optics._spectrum
 
-    def counting(self, kernel, n, single=False):
-        keys.append((n, single))
-        init(self, kernel, n, single)
+    def counting(self, kernel, n):
+        builds.sizes.append(n)
+        init(self, kernel, n)
+
+    def counting_spectrum(u, shape, real, at=0):
+        if u.shape[0] < 64:
+            builds.kernel_spectra.append(u.shape)
+        return spectrum(u, shape, real, at)
 
     monkeypatch.setattr(optics._ConvOperator, "__init__", counting)
-    return keys
+    monkeypatch.setattr(optics, "_spectrum", counting_spectrum)
+    return builds
 
 
-def test_one_kernel_keeps_its_operators():
-    # a build for kernel b empties kernel a's cache, so nothing holds a's
-    # two operators any more; b keeps its one, and a hit on it returns the
-    # same object; a rebuild for a then empties b's cache in turn
+def live_operators() -> int:
+    gc.collect()
+    return sum(isinstance(o, optics._ConvOperator) for o in gc.get_objects())
+
+
+def test_one_operator_is_cached(monkeypatch):
+    # the module keeps the last operator built: a hit returns the same
+    # object, and an op call for kernel b, or for a's other field size,
+    # frees the cached operator before it builds the next, so two spectra
+    # are never alive together
     a, b = (PsfKernel(RNG.normal(size=(5, 5))) for _ in range(2))
-    built = [weakref.ref(a.op(8)), weakref.ref(a.op(8, single=True))]
-    assert all(ref() is not None for ref in built)
+    first = a.op(8)
+    assert a.op(8) is first and optics._slot[2] is first
+    cached = weakref.ref(first)
+    del first
+    alive = []
+    init = optics._ConvOperator.__init__
+
+    def checking(self, kernel, n):
+        alive.append(cached() is not None)
+        init(self, kernel, n)
+
+    monkeypatch.setattr(optics._ConvOperator, "__init__", checking)
     op = b.op(8)
-    assert a._ops == {}
-    assert all(ref() is None for ref in built)
-    assert b._ops == {(8, False): op}
+    assert alive == [False] and cached() is None
     assert b.op(8) is op
+    cached = weakref.ref(op)
+    del op
     a.op(8)
-    assert b._ops == {}
-    assert list(a._ops) == [(8, False)]
+    assert cached() is None
+    cached = weakref.ref(a.op(8))
+    a.op(9)
+    assert alive == [False] * 3 and cached() is None
+    assert live_operators() == 1
 
 
 def test_evicted_operator_rebuilds_bit_for_bit():
-    # an operator that left its kernel's cache rebuilds to the same
-    # spectrum, and convolves and correlates as the first build did, in
-    # both precisions, under a real and a complex kernel
+    # an operator that left the cache rebuilds to the same spectra, and
+    # convolves and correlates as the first build did, in both precisions,
+    # under a real and a complex kernel
     n = 9
     u, x = RNG.random((n, n)), complex_normal((n, n))
     for samples in (RNG.normal(size=(6, 6)), complex_normal((6, 6))):
         kernel = PsfKernel(samples)
         for dtype in (np.float64, np.float32):
-            op = kernel.op(n, single=dtype == np.float32)
-            spectrum = op.kernel_hat.tobytes()
+            hat = np.result_type(dtype, 1j)
             image = convolve(kernel, u.astype(dtype)).tobytes()
-            adjoint = convolve_adjoint(kernel, x.astype(np.result_type(dtype, 1j))).tobytes()
+            adjoint = convolve_adjoint(kernel, x.astype(hat)).tobytes()
+            op = kernel.op(n)
+            spectra = [op._hat(hat).tobytes(), op._hat(hat, conj=True).tobytes()]
+            evicted = weakref.ref(op)
             del op
             other = PsfKernel(RNG.normal(size=(3, 3)))
             other.op(n)
-            assert kernel._ops == {}
-            rebuilt = kernel.op(n, single=dtype == np.float32)
-            assert rebuilt.kernel_hat.tobytes() == spectrum
+            assert evicted() is None
             assert convolve(kernel, u.astype(dtype)).tobytes() == image
-            got = convolve_adjoint(kernel, x.astype(np.result_type(dtype, 1j)))
+            got = convolve_adjoint(kernel, x.astype(hat))
             assert got.tobytes() == adjoint
+            rebuilt = kernel.op(n)
+            assert [rebuilt._hat(hat).tobytes(),
+                    rebuilt._hat(hat, conj=True).tobytes()] == spectra
+            del rebuilt
 
 
 def test_dropped_kernel_frees_its_operators_at_once():
-    # the module holds the caching kernel weakly: a kernel dropped while
-    # its operators are cached frees them without a gc pass
+    # the module holds the cached operator's kernel weakly: a kernel
+    # dropped while its operator is cached frees it, with every spectrum
+    # it made, without a gc pass
     kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
-    ops = [weakref.ref(kernel.op(32)), weakref.ref(kernel.op(32, single=True))]
-    convolve_adjoint(kernel, complex_normal((32, 32)))  # the conjugate too
-    assert all(ref() is not None for ref in ops)
+    u, x = RNG.random((32, 32)), complex_normal((32, 32))
+    for data in (u, u.astype(np.float32)):
+        convolve(kernel, data)
+    for data in (x, x.astype(np.complex64)):
+        convolve_adjoint(kernel, data)
+    op = kernel.op(32)
+    assert len(op._hats) == 4  # each precision's spectrum and its conjugate
+    refs = [weakref.ref(op), weakref.ref(op.kernel_hat)]
+    refs += [weakref.ref(hat) for hat in op._hats.values()]
+    del op
+    assert all(ref() is not None for ref in refs)
     del kernel
-    assert all(ref() is None for ref in ops)
+    assert all(ref() is None for ref in refs)
+    assert optics._slot is None
 
 
-def test_a_solve_builds_two_operators(builds):
+def test_a_solve_builds_one_operator(builds):
     # admm_optimize images in float64 (start-up image, EPE monitor) and
-    # runs its U-step in single precision: one operator of each, in focus
-    # and out, and none is evicted and rebuilt within the solve
+    # runs its U-step in single precision: one operator serves both, in
+    # focus and out, and transforms its kernel once; none is evicted and
+    # rebuilt within the solve
     target = ten_rectangles(64)
     cfg = SolverConfig(outer_max_iters=3, bregman_max_iters=2, descent_max_iters=3)
     for d in (0.0, 50.0):
         oc = OpticsConfig(kernel_size=20, defocus_nm=d)
         kernel = build_psf(oc)
-        builds.clear()
+        builds.sizes.clear()
+        builds.kernel_spectra.clear()
         admm_optimize(target, oc, cfg, kernel=kernel)
-        assert sorted(builds) == [(64, False), (64, True)], d
+        assert builds.sizes == [64], d
+        assert builds.kernel_spectra == [(20, 20)], d
 
 
 def test_focus_sweep_builds_one_operator_per_kernel(builds, spectra):
     # a process window images each of its masks at one focus setting after
     # another; every kernel is kept, as a caller keeps the kernels of the
     # images it checks, and still each builds its operator once, and only
-    # the last one keeps it
+    # the last one's is cached
     target = ten_rectangles(64)
     masks = [target] + [np.clip(target + 0.3 * RNG.normal(size=target.shape), 0.0, 1.0)
                         for _ in range(11)]
@@ -683,8 +763,63 @@ def test_focus_sweep_builds_one_operator_per_kernel(builds, spectra):
         for mask in masks:
             evaluate(mask, target, oc, kernel=kernel)
         kept.append(kernel)
-    assert builds == [(64, False)] * 21
-    assert [len(kernel._ops) for kernel in kept] == [0] * 20 + [1]
+    assert builds.sizes == [64] * 21
+    assert [optics._slot[0]() is kernel for kernel in kept] == [False] * 20 + [True]
+    assert live_operators() == 1
+
+
+def test_replaced_kernel_images_with_its_own_samples():
+    # dataclasses.replace makes a new kernel with new samples; it must not
+    # image through the operator cached for the kernel it was made from
+    a = PsfKernel(RNG.normal(size=(5, 5)))
+    other = complex_normal((5, 5))
+    u = RNG.random((8, 8))
+    before = convolve(a, u)
+    b = dataclasses.replace(a, samples=other)
+    got = convolve(b, u)
+    assert np.array_equal(b.samples, other)
+    assert not np.array_equal(got, before)
+    assert np.array_equal(got, convolve(PsfKernel(other), u))
+
+
+def test_kernel_samples_are_read_only(monkeypatch):
+    # a cached operator holds the samples' spectrum, so no one may write
+    # them: a write or a reassignment raises, and the caller's own array,
+    # or the array a view of theirs shows, stays writable and apart from
+    # the kernel's
+    own = complex_normal((5, 5))
+    for given in (own, own[::-1], own.real):
+        kernel = PsfKernel(given)
+        with pytest.raises(ValueError):
+            kernel.samples[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kernel.samples = own
+        assert given.flags.writeable
+        assert not np.shares_memory(kernel.samples, own)
+    fixed = kernel.samples
+    assert PsfKernel(fixed).samples is fixed  # read-only already: no copy
+    # build_psf hands its own read-only kernel over, and PsfKernel keeps it
+    handed = []
+
+    class Recording(PsfKernel):
+        def __post_init__(self):
+            handed.append(self.samples)
+            super().__post_init__()
+
+    monkeypatch.setattr(optics, "PsfKernel", Recording)
+    kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
+    assert kernel.samples is handed[0]
+    assert not kernel.samples.flags.writeable
+
+
+def test_kernels_compare_and_hash_by_identity():
+    # the operator cache keys a kernel by identity, and so do == and hash
+    kernel = build_psf(OpticsConfig(kernel_size=20))
+    twin = PsfKernel(kernel.samples, config=kernel.config)
+    assert kernel == kernel
+    assert kernel != twin
+    assert hash(kernel) == hash(kernel) != hash(twin)
+    assert {kernel: 1, twin: 2}[twin] == 2
 
 
 def test_convolving_unit_impulse_mask_returns_kernel():

@@ -420,15 +420,15 @@ SINGLES = {np.dtype(np.float32), np.dtype(np.complex64)}
 
 def _recorded_u_step(monkeypatch, defocus):
     # one gray-start U-step toward a pattern's image; records the dtype of
-    # every Phi, shrink and gradient input and output, and the spectrum and
-    # input dtype of every operator call
+    # every Phi, shrink and gradient input and output, and the input dtype
+    # of every operator call with the dtypes of the kernel spectra it took
     cfg = SolverConfig(bregman_max_iters=3, descent_max_iters=3)
     u0 = np.full((32, 32), 0.5)
     u_true = np.zeros((32, 32))
     u_true[8:24, 10:22] = 1.0
     kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
     hu0, w = convolve(kernel, u0), convolve(kernel, u_true)
-    seen, calls = [], []
+    seen, calls, taken = [], [], []
 
     def recording_phi(u, *args):
         seen.append(("phi", u.dtype))
@@ -447,9 +447,17 @@ def _recorded_u_step(monkeypatch, defocus):
         method = getattr(optics._ConvOperator, name)
 
         def recorded(self, x):
-            calls.append((name, self.kernel_hat.dtype, x.dtype))
-            return method(self, x)
+            start = len(taken)
+            out = method(self, x)
+            calls.append((name, frozenset(taken[start:]), x.dtype))
+            return out
         return recorded
+
+    hat = optics._ConvOperator._hat
+
+    def recording_hat(self, dtype, conj=False):
+        taken.append(np.dtype(dtype))
+        return hat(self, dtype, conj)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "phi", recording_phi)
@@ -457,6 +465,7 @@ def _recorded_u_step(monkeypatch, defocus):
         m.setattr(solver, "grad_F", recording_grad)
         for name in ("forward", "adjoint"):
             m.setattr(optics._ConvOperator, name, recording(name))
+        m.setattr(optics._ConvOperator, "_hat", recording_hat)
         out, hu = u_subproblem(w, u0, hu0, cfg, kernel)
     assert not np.array_equal(out, u0)
     return kernel, seen, calls, out, hu
@@ -474,14 +483,14 @@ def test_u_step_state_stays_single_precision(monkeypatch):
 
 
 def test_u_step_trials_run_in_single_precision(monkeypatch):
-    # every Armijo trial image and gradient adjoint runs on the kernel's
-    # single-precision operator, and no call takes the float64 one; the
+    # every Armijo trial image and gradient adjoint multiplies by the
+    # kernel's complex64 spectrum, and no call takes the complex128 one; the
     # returned HU is the single-precision image of the returned mask,
     # widened to the image dtype
     for defocus, image_dtype in ((0.0, np.float64), (50.0, np.complex128)):
         kernel, _, calls, out, hu = _recorded_u_step(monkeypatch, defocus)
         assert {name for name, _, _ in calls} == {"forward", "adjoint"}
-        assert {spectrum for _, spectrum, _ in calls} == {np.dtype(np.complex64)}
+        assert {spectra for _, spectra, _ in calls} == {frozenset({np.dtype(np.complex64)})}
         assert {dtype for name, _, dtype in calls
                 if name == "forward"} == {np.dtype(np.float32)}
         assert {dtype for name, _, dtype in calls
