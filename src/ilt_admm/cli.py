@@ -38,7 +38,6 @@ _OPTICS_FLAGS = {
     "defocus_nm": "--defocus",
     "pixel_size_nm": "--pixel-size",
     "kernel_size": "--kernel-size",
-    "sigmoid_steepness": "--steepness",
     "threshold": "--threshold",
 }
 _PENALTY_FLAGS = {name: "--" + name for name in ("rho", "gamma", "beta1", "beta2")}

@@ -16,14 +16,23 @@ from .optics import OpticsConfig, PsfKernel
 @dataclass
 class EvaluationReport:
     """A mask's EPE: missed, the bool map printed != target (one byte per
-    pixel); error, the map's l2 norm sqrt(count); and nonzero_epe_pixels,
-    the count of its True pixels. The map as 0/1 floats is the epe
-    property, built on each access, so a kept report holds the bool map
-    only: 20.7 KB at 144², not the float map's 166 KB."""
+    pixel), kept as given, not copied. The rest is derived from it on each
+    access: nonzero_epe_pixels, the count of its True pixels; error, the
+    map's l2 norm sqrt(count) exactly; and epe, the map as 0/1 floats. A
+    kept report holds the bool map only: 20.7 KB at 144², not the float
+    map's 166 KB."""
 
     missed: np.ndarray
-    error: float
-    nonzero_epe_pixels: int
+
+    @property
+    def nonzero_epe_pixels(self) -> int:
+        """The count of missed pixels."""
+        return int(np.count_nonzero(self.missed))
+
+    @property
+    def error(self) -> float:
+        """The EPE map's l2 norm, sqrt(nonzero_epe_pixels)."""
+        return math.sqrt(self.nonzero_epe_pixels)
 
     @property
     def epe(self) -> np.ndarray:
@@ -31,21 +40,12 @@ class EvaluationReport:
         return self.missed.astype(float)
 
 
-def mismatch_report(missed: np.ndarray) -> EvaluationReport:
-    """The report of the bool map printed != target, which it keeps as
-    given, not copied: its count and sqrt(count), the map's l2 norm
-    exactly."""
-    count = int(np.count_nonzero(missed))
-    return EvaluationReport(missed=missed, error=math.sqrt(count),
-                            nonzero_epe_pixels=count)
-
-
 def epe_report(output: np.ndarray, target: np.ndarray) -> EvaluationReport:
     """The report of two 0/1 grids of one shape (GridError otherwise)."""
     output = as_binary(output)
     target = as_binary(target)
     check_same_shape(output, target)
-    return mismatch_report(output != target)
+    return EvaluationReport(output != target)
 
 
 def epe_error(output: np.ndarray, target: np.ndarray) -> float:
@@ -62,7 +62,7 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     Evaluation always uses the hard threshold: it is the printed wafer
     pattern, not the sigmoid surrogate used inside the solver. The print
     is optics.image_threshold's bool map, so only the target is checked
-    for binarity; the report is mismatch_report's of printed != target.
+    for binarity; the report is that of printed != target.
 
     The mask must be real, finite and of the target's shape (GridError
     otherwise). optics.convolve images it from its cached half spectrum
@@ -77,4 +77,4 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     v = _optics.convolve(kernel, mask)
     printed = _optics.image_threshold(_optics.aerial_image(v),
                                       optics_cfg.threshold)
-    return mismatch_report(printed != target)
+    return EvaluationReport(printed != target)

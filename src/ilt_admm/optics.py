@@ -15,7 +15,7 @@ import functools
 import math
 import numbers
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import fft as sfft
@@ -50,14 +50,17 @@ def check_settings(config) -> None:
 @dataclass(frozen=True)
 class OpticsConfig:
     """Projection-system parameters. Defaults are the production setting:
-    ArF 193nm, NA 0.85, 5nm pixels, 100x100 kernel, resist threshold 0.3."""
+    ArF 193nm, NA 0.85, 5nm pixels, 100x100 kernel, resist threshold 0.3.
+    The resist threshold comes from optics_cfg, an OpticsConfig, in every
+    solve and evaluation. The sigmoid steepness is no setting: it changes
+    no mask, image or EPE, only the solver's logged Lagrangian, which
+    reads solver.SIGMOID_STEEPNESS."""
 
     wavelength_nm: float = 193.0
     numerical_aperture: float = 0.85
     defocus_nm: float = 0.0
     pixel_size_nm: float = 5.0
     kernel_size: int = 100
-    sigmoid_steepness: float = 20.0
     threshold: float = 0.3
 
     def __post_init__(self):
@@ -70,8 +73,6 @@ class OpticsConfig:
             raise ValueError("pixel size must be positive")
         if self.kernel_size <= 0:
             raise ValueError("kernel size must be positive")
-        if self.sigmoid_steepness <= 0:
-            raise ValueError("sigmoid steepness must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("resist threshold must lie in (0, 1)")
 
@@ -93,15 +94,13 @@ def _release(ref: weakref.ref) -> None:
 class PsfKernel:
     """Spatial convolution kernel with its optics metadata.
 
-    samples is a read-only kernel_size x kernel_size complex array; dc_gain
-    is the magnitude of its sum (1.0 after build_psf normalization). A
+    samples is a read-only kernel_size x kernel_size complex array. A
     kernel's fields cannot be reassigned. Kernels compare and hash by
     identity, the key of the operator cache (see op).
     """
 
     samples: np.ndarray
     config: OpticsConfig | None = None
-    dc_gain: float = field(init=False)
 
     def __post_init__(self):
         samples = as_grid(self.samples, complex_ok=True)
@@ -113,7 +112,12 @@ class PsfKernel:
             samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "dc_gain", float(abs(samples.sum())))
+
+    @property
+    def dc_gain(self) -> float:
+        """The magnitude of the samples' sum: 1.0 after build_psf's
+        normalization."""
+        return float(abs(self.samples.sum()))
 
     def op(self, n: int) -> "_ConvOperator":
         """FFT convolution operator for n x n inputs, in both precisions.
@@ -145,7 +149,7 @@ def _quadrature(kernel_size: int, pixel_size_nm: float, wavelength_nm: float,
     - cosines[a, j] = 2 cos(2 pi x_a f_j), with cosines[a, 0] = 1, over the
       first ceil(k / 2) kernel pixels x_a.
 
-    The defocus, threshold and steepness leave them alone, so every kernel
+    The defocus and threshold leave them alone, so every kernel
     of a focus sweep shares one entry, built once per process.
     """
     k, lam = kernel_size, wavelength_nm

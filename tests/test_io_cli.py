@@ -452,7 +452,15 @@ def test_cli_out_of_range_setting_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "o")
     cfg = tmp_path / "cfg"
     cfg.write_text("threshold=1.5\n")
+    # the sigmoid steepness is no setting: as a flag or a config key it is
+    # rejected by name, like any other unknown setting
+    steep = tmp_path / "steep"
+    steep.write_text("sigmoid_steepness = 20\n")
     for argv, named in (
+            (["optimize", "--target", target, "--kernel-size", "20",
+              "--steepness", "20", "--quiet"], "--steepness"),
+            (["optimize", "--target", target, "--kernel-size", "20",
+              "--config", str(steep), "--quiet"], "sigmoid_steepness"),
             (["optimize", "--target", target, "--kernel-size", "20",
               "--outer-iters", "0", "--quiet"], "outer_max_iters"),
             (["sweep", "--target", target, "--kernel-size", "20", "--rho", "5",
@@ -468,7 +476,6 @@ def test_cli_out_of_range_setting_is_usage_error(tmp_path, capsys):
               for flag, value, named in (
                   ("--beta1", "nan", "beta1"), ("--beta2", "inf", "beta2"),
                   ("--gamma", "inf", "gamma"),
-                  ("--steepness", "inf", "sigmoid_steepness"),
                   ("--rho", "nan", "rho"),
                   ("--pixel-size", "nan", "pixel_size_nm"),
                   ("--wavelength", "inf", "wavelength_nm"),

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ilt_admm.grids import GridError, l2_norm
-from ilt_admm.metrics import epe_error, epe_report, evaluate, mismatch_report
+from ilt_admm.metrics import EvaluationReport, epe_error, epe_report, evaluate
 from ilt_admm.optics import (OpticsConfig, aerial_image, build_psf, convolve,
                              image_threshold)
 from ilt_admm.targets import ten_rectangles
@@ -17,10 +19,22 @@ def test_epe_map_counts_differing_pixels():
     assert np.array_equal(m, [[0.0, 1.0], [0.0, 1.0]])
     assert epe_error(a, b) == pytest.approx(np.sqrt(2.0))
     # every EPE comes from the one report of the bool map a != b
-    for report in (epe_report(a, b), mismatch_report(a != b)):
+    for report in (epe_report(a, b), EvaluationReport(a != b)):
         assert report.epe.tobytes() == m.tobytes()
         assert report.nonzero_epe_pixels == 2
         assert report.error == epe_error(a, b) == l2_norm(m)
+
+
+def test_report_derives_its_counts_from_the_map_it_keeps():
+    # the report stores the bool map it is given, not a copy; the count and
+    # the l2 norm are read from it, the norm as sqrt(count) exactly
+    rng = np.random.default_rng(43)
+    for shape, density in (((144, 144), 0.1), ((7, 5), 0.5), ((3, 3), 0.0)):
+        missed = rng.random(shape) < density
+        report = EvaluationReport(missed)
+        assert report.missed is missed
+        assert report.nonzero_epe_pixels == int(np.count_nonzero(missed))
+        assert report.error == math.sqrt(report.nonzero_epe_pixels)
 
 
 def test_epe_identical_patterns_is_zero():

@@ -31,7 +31,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OpticsConfig(wavelength_nm=-1.0)
     for name in ("wavelength_nm", "numerical_aperture", "defocus_nm",
-                 "pixel_size_nm", "sigmoid_steepness", "threshold"):
+                 "pixel_size_nm", "threshold"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 OpticsConfig(**{name: bad})
@@ -153,13 +153,12 @@ def test_quadrature_is_shared_across_focus_and_resist_settings():
     build_psf(base)
     info = _quadrature.cache_info()
     assert (info.hits, info.misses) == (0, 1)
-    # defocus, threshold and steepness leave the quadrature alone: one entry
+    # defocus and threshold leave the quadrature alone: one entry
     for cfg in (OpticsConfig(kernel_size=16, defocus_nm=50.0),
-                OpticsConfig(kernel_size=16, threshold=0.4),
-                OpticsConfig(kernel_size=16, sigmoid_steepness=5.0)):
+                OpticsConfig(kernel_size=16, threshold=0.4)):
         build_psf(cfg)
     info = _quadrature.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     # kernel size, pixel size, wavelength and NA each miss
     for cfg in (OpticsConfig(kernel_size=17),
                 OpticsConfig(kernel_size=16, pixel_size_nm=7.3),
@@ -167,7 +166,7 @@ def test_quadrature_is_shared_across_focus_and_resist_settings():
                 OpticsConfig(kernel_size=16, numerical_aperture=0.3)):
         build_psf(cfg)
     info = _quadrature.cache_info()
-    assert (info.hits, info.misses) == (3, 5)
+    assert (info.hits, info.misses) == (2, 5)
 
 
 def test_quadrature_arrays_are_read_only():

@@ -7,7 +7,8 @@ from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
 from oracles import fd_gradient, v_oracle_min_batch
 from ilt_admm.regularization import phi, shrink
-from ilt_admm.solver import (ConvergenceRecord, SolverConfig, admm_optimize,
+from ilt_admm.solver import (SIGMOID_STEEPNESS, ConvergenceRecord,
+                             SolverConfig, admm_optimize,
                              augmented_lagrangian, bregman_objective,
                              check_rho_condition, dual_update,
                              estimate_lipschitz, grad_F, grad_h,
@@ -148,11 +149,9 @@ def test_augmented_lagrangian_splitting_consistency():
     target = (RNG.random((24, 24)) < 0.5).astype(float)
     v = convolve(kernel, u)
     p = np.zeros_like(v)
-    want = (sigmoid_misfit(v, target, SMALL_OPTICS.sigmoid_steepness,
-                           SMALL_OPTICS.threshold)
+    want = (sigmoid_misfit(v, target, SIGMOID_STEEPNESS, SMALL_OPTICS.threshold)
             + l1_norm(phi(u, cfg.beta1, cfg.beta2)))
-    got = augmented_lagrangian(u, v, v, p, target, SMALL_OPTICS.sigmoid_steepness,
-                               SMALL_OPTICS.threshold, cfg)
+    got = augmented_lagrangian(u, v, v, p, target, SMALL_OPTICS.threshold, cfg)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -162,7 +161,7 @@ def test_regularizer_is_l1_norm_of_phi():
     # the last bit, on gray masks in focus and out. (beta1 TV(U) and
     # beta2 ||U(1-U)||_1 summed apart round differently on some of them.)
     cfg = SolverConfig()
-    a, tr = SMALL_OPTICS.sigmoid_steepness, SMALL_OPTICS.threshold
+    a, tr = SIGMOID_STEEPNESS, SMALL_OPTICS.threshold
     rng = np.random.default_rng(1)
     for defocus in (0.0, 50.0):
         kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
@@ -172,7 +171,7 @@ def test_regularizer_is_l1_norm_of_phi():
             v = convolve(kernel, u)
             want = (sigmoid_misfit(v, target, a, tr)
                     + l1_norm(phi(u, cfg.beta1, cfg.beta2)))
-            got = augmented_lagrangian(u, v, v, np.zeros_like(v), target, a, tr, cfg)
+            got = augmented_lagrangian(u, v, v, np.zeros_like(v), target, tr, cfg)
             assert got == want, defocus
 
 
@@ -185,12 +184,10 @@ def test_augmented_lagrangian_recomposition():
     target = (RNG.random((8, 8)) < 0.5).astype(float)
     hu = convolve(kernel, u)
     resid = v - hu
-    want = (sigmoid_misfit(v, target, SMALL_OPTICS.sigmoid_steepness,
-                           SMALL_OPTICS.threshold)
+    want = (sigmoid_misfit(v, target, SIGMOID_STEEPNESS, SMALL_OPTICS.threshold)
             + l1_norm(phi(u, cfg.beta1, cfg.beta2))
             + inner(p, resid) + 0.5 * cfg.rho * float(np.sum(np.abs(resid) ** 2)))
-    got = augmented_lagrangian(u, hu, v, p, target, SMALL_OPTICS.sigmoid_steepness,
-                               SMALL_OPTICS.threshold, cfg)
+    got = augmented_lagrangian(u, hu, v, p, target, SMALL_OPTICS.threshold, cfg)
     assert got == pytest.approx(want, rel=1e-10)
 
 
