@@ -77,41 +77,32 @@ class OpticsConfig:
             raise ValueError("resist threshold must lie in (0, 1)")
 
 
-# The one cached operator (see PsfKernel.op): a weak reference to its
-# kernel, its field size and the operator. It holds a 614 KB complex128
-# spectrum at the production setting.
-_slot: tuple[weakref.ref, int, _ConvOperator] | None = None
-
-
-def _release(ref: weakref.ref) -> None:
-    """Empty the slot when its kernel dies."""
-    global _slot
-    if _slot is not None and _slot[0] is ref:
-        _slot = None
+# The one cached operator (see PsfKernel.op), as kernel -> (n, operator).
+# It holds a 614 KB complex128 spectrum at the production setting.
+_operators = weakref.WeakKeyDictionary()
 
 
 @dataclass(eq=False, frozen=True)
 class PsfKernel:
     """Spatial convolution kernel with its optics metadata.
 
-    samples is a read-only kernel_size x kernel_size complex array. A
-    kernel's fields cannot be reassigned. Kernels compare and hash by
-    identity, the key of the operator cache (see op).
+    samples is a read-only kernel_size x kernel_size complex128 array, a
+    view of the kernel's own copy of the array it was given, so no one can
+    make it writable again. A kernel's fields cannot be reassigned.
+    Kernels compare and hash by identity, the key of the operator cache
+    (see op).
     """
 
     samples: np.ndarray
     config: OpticsConfig | None = None
 
     def __post_init__(self):
-        samples = as_grid(self.samples, complex_ok=True)
         # a cached operator holds the samples' spectrum, so a kernel keeps
-        # samples no one can write: an array the caller could still write
-        # to, their own or a view, is copied first
-        if samples.base is not None or (samples is self.samples
-                                        and samples.flags.writeable):
-            samples = samples.copy()
+        # its own read-only complex128 copy and shows a view of it: numpy
+        # refuses to make a view writable while its base is read-only
+        samples = as_grid(self.samples, complex_ok=True).astype(complex, order="C")
         samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", samples[...])
 
     @property
     def dc_gain(self) -> float:
@@ -125,14 +116,14 @@ class PsfKernel:
         The package images through one kernel at a time (a solve uses one
         operator, a focus sweep one per kernel), so the module caches one
         operator, the last one built: an op call for another kernel or size
-        first empties the slot, so two spectra are never alive together,
+        first empties the cache, so two spectra are never alive together,
         and the next call for this kernel rebuilds the operator bit for
-        bit. The slot holds the kernel weakly, and empties when it dies."""
-        global _slot
-        if _slot is None or _slot[0]() is not self or _slot[1] != n:
-            _slot = None
-            _slot = (weakref.ref(self, _release), n, _ConvOperator(self.samples, n))
-        return _slot[2]
+        bit. The cache is a weak map: it holds the kernel weakly, keyed by
+        identity, and drops the operator when the kernel dies."""
+        if _operators.get(self, (None,))[0] != n:
+            _operators.clear()
+            _operators[self] = (n, _ConvOperator(self.samples, n))
+        return _operators[self][1]
 
 
 # a focus sweep needs one entry; each holds ~0.38 MB at the production setting
@@ -235,7 +226,6 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     top[:, half:] = top[:, :rest][:, ::-1]
     h[half:] = h[:rest][::-1]
     h /= h.sum()
-    h.flags.writeable = False  # so the kernel keeps h itself (no copy)
     return PsfKernel(samples=h, config=cfg)
 
 

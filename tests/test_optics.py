@@ -657,7 +657,7 @@ def test_one_operator_is_cached(monkeypatch):
     # are never alive together
     a, b = (PsfKernel(RNG.normal(size=(5, 5))) for _ in range(2))
     first = a.op(8)
-    assert a.op(8) is first and optics._slot[2] is first
+    assert a.op(8) is first and dict(optics._operators) == {a: (8, first)}
     cached = weakref.ref(first)
     del first
     alive = []
@@ -727,7 +727,7 @@ def test_dropped_kernel_frees_its_operators_at_once():
     assert all(ref() is not None for ref in refs)
     del kernel
     assert all(ref() is None for ref in refs)
-    assert optics._slot is None
+    assert len(optics._operators) == 0
 
 
 def test_a_solve_builds_one_operator(builds):
@@ -763,7 +763,7 @@ def test_focus_sweep_builds_one_operator_per_kernel(builds, spectra):
             evaluate(mask, target, oc, kernel=kernel)
         kept.append(kernel)
     assert builds.sizes == [64] * 21
-    assert [optics._slot[0]() is kernel for kernel in kept] == [False] * 20 + [True]
+    assert [kernel in optics._operators for kernel in kept] == [False] * 20 + [True]
     assert live_operators() == 1
 
 
@@ -795,9 +795,10 @@ def test_kernel_samples_are_read_only(monkeypatch):
             kernel.samples = own
         assert given.flags.writeable
         assert not np.shares_memory(kernel.samples, own)
+    # a kernel never shares memory with any array given, read-only or not:
+    # another kernel's samples, or the array build_psf hands over
     fixed = kernel.samples
-    assert PsfKernel(fixed).samples is fixed  # read-only already: no copy
-    # build_psf hands its own read-only kernel over, and PsfKernel keeps it
+    assert not np.shares_memory(PsfKernel(fixed).samples, fixed)
     handed = []
 
     class Recording(PsfKernel):
@@ -807,8 +808,66 @@ def test_kernel_samples_are_read_only(monkeypatch):
 
     monkeypatch.setattr(optics, "PsfKernel", Recording)
     kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))
-    assert kernel.samples is handed[0]
+    assert not np.shares_memory(kernel.samples, handed[0])
     assert not kernel.samples.flags.writeable
+
+
+def given_samples() -> list[np.ndarray]:
+    """Kernel samples as a caller may hand them over: float, int, bool,
+    complex128 (writable and read-only), complex64, Fortran-ordered and a
+    view."""
+    values = complex_normal((6, 6))
+    fixed = values.copy()
+    fixed.flags.writeable = False
+    return [values.real, np.arange(36).reshape(6, 6), values.real > 0.0,
+            values, fixed, values.astype(np.complex64), np.asfortranarray(values),
+            values.T[::-1]]
+
+
+def test_kernel_samples_cannot_be_made_writable():
+    # the samples are a view of the kernel's own read-only array, so numpy
+    # refuses to turn their writeable flag back on
+    kernels = [build_psf(OpticsConfig(kernel_size=20, defocus_nm=50.0))]
+    kernels += [PsfKernel(given) for given in given_samples()]
+    for kernel in kernels:
+        with pytest.raises(ValueError):
+            kernel.samples.flags.writeable = True
+
+
+def test_read_only_array_handed_over_stays_the_kernels():
+    # a caller that hands over a read-only complex128 array of their own
+    # and then makes it writable and zeroes it changes neither the
+    # kernel's samples nor its image
+    given = complex_normal((5, 5))
+    given.flags.writeable = False
+    kernel = PsfKernel(given)
+    samples = kernel.samples.copy()
+    u = RNG.random((8, 8))
+    image = convolve(kernel, u).tobytes()
+    given.flags.writeable = True
+    given[:] = 0.0
+    assert np.array_equal(kernel.samples, samples)
+    assert convolve(kernel, u).tobytes() == image
+
+
+def test_kernel_images_as_its_complex128_copy():
+    # whatever array it is given, a kernel keeps a private complex128 copy
+    # and images bit for bit as the kernel of that copy, in both
+    # precisions and both directions
+    n = 9
+    u, x = RNG.random((n, n)), complex_normal((n, n))
+    for given in given_samples():
+        kernel = PsfKernel(given)
+        twin = PsfKernel(np.array(given, dtype=np.complex128))
+        assert not np.shares_memory(kernel.samples, given)
+        assert kernel.samples.dtype == np.complex128
+        assert np.array_equal(kernel.samples, given)
+        for dtype in (np.float64, np.float32):
+            hat = np.result_type(dtype, 1j)
+            assert (convolve(kernel, u.astype(dtype)).tobytes()
+                    == convolve(twin, u.astype(dtype)).tobytes())
+            assert (convolve_adjoint(kernel, x.astype(hat)).tobytes()
+                    == convolve_adjoint(twin, x.astype(hat)).tobytes())
 
 
 def test_kernels_compare_and_hash_by_identity():
