@@ -119,7 +119,7 @@ def check_rho_condition(rho: float, l_h: float) -> bool:
     """True iff rho/2 - L_h/rho - L_h > 0, the paper's sufficient-decrease
     condition, for the sigmoid surrogate's L_h: the V-step's hard threshold
     has no Lipschitz gradient. The production rho = 10 fails it (boundary
-    ~156.5 at L_h = 77.73); rho = 160 missed 8305 pixels, not 2950 (README)."""
+    ~156.5 at L_h = 77.73); rho = 160 missed 7071 pixels, not 2950 (README)."""
     if rho <= 0 or l_h <= 0:
         raise ValueError("rho and L_h must be positive")
     return bool(rho / 2.0 - l_h / rho - l_h > 0.0)
@@ -196,19 +196,19 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     b, the split gap, the residual and the gradient stay so, so every image
     and adjoint runs in single precision, and every scalar
     compared (F, the Armijo move ||U - U_t||^2, the original objective) is
-    a float64 sum. The original objective reads Phi(U) from the split the
-    U-step forms anyway: at u_init the Phi that starts d, at each sweep
-    end the Phi that the shrink and the b update take.
-    Returns (U, HU) at the iterate with the lowest original objective,
-    never above its value at u_init: a sweep end's U and the image the
-    U-step holds for it, cast to float64 (complex128 for a complex image),
-    or u_init and hu_init themselves when no sweep improved.
+    a float64 sum. The original objective reads Phi(U) at each sweep end
+    from the split the shrink and the b update take.
+    Returns (U, HU) at the sweep end with the lowest original objective:
+    its U and the image the U-step holds for it, cast to float64
+    (complex128 for a complex image), even where that objective lies above
+    its value at u_init, since ADMM asks only for an inexact U-step; u_init
+    and hu_init themselves only when bregman_max_iters is 0.
     """
     u, hu, w = (as_precision(a, np.float32) for a in (u_init, hu_init, w))
     phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
     b = np.zeros_like(phi_u)
-    best_u, best_hu, best_val = u_init, hu_init, sum_squares(hu - w) + l1_norm(phi_u)
+    best_u, best_hu, best_val = u_init, hu_init, np.inf
 
     for _ in range(cfg.bregman_max_iters):
         # F, the residual HU - W and the split gap at the current U; an

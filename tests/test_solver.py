@@ -192,14 +192,18 @@ def test_augmented_lagrangian_recomposition():
 
 
 def test_u_subproblem_stationary_start():
+    # W is the single-precision image of a binary start, so with no
+    # regularizer the start is stationary: the first sweep end keeps its
+    # values, and the U-step hands that sweep end back, not u_init
     kernel = small_kernel()
     cfg = SolverConfig(beta1=0.0, beta2=0.0)
     u_true = (RNG.random((32, 32)) < 0.5).astype(float)
-    w = convolve(kernel, u_true)
+    w = convolve(kernel, u_true.astype(np.float32)).astype(np.float64)
     out, hu = u_subproblem(w, u_true, w, cfg, kernel)
-    assert out is u_true and hu is w  # no sweep improved: the start itself
-    assert np.abs(out - u_true).max() < 1e-10
-    assert np.array_equal(hu, convolve(kernel, out))
+    assert out is not u_true and hu is not w
+    assert out.dtype == np.float64 and np.array_equal(out, u_true)
+    assert np.array_equal(
+        hu, convolve(kernel, out.astype(np.float32)).astype(np.float64))
 
 
 def test_u_subproblem_descends_and_stays_feasible():
@@ -303,12 +307,33 @@ def test_admm_returns_lowest_epe_outer_iterate():
     # returned must be the one at the minimum, not the last one
     target = np.zeros((32, 32))
     target[8:24, 8:24] = 1.0
-    cfg = SolverConfig(outer_max_iters=20, bregman_max_iters=5,
+    cfg = SolverConfig(outer_max_iters=12, bregman_max_iters=5,
                        descent_max_iters=10)
     u, records = admm_optimize(target, SMALL_OPTICS, cfg)
     best = min(r.epe_error for r in records)
     assert best < records[-1].epe_error
     assert evaluate(u, target, SMALL_OPTICS).error == best
+
+
+def test_u_step_never_hands_back_u_init(monkeypatch):
+    # a U-step with a sweep keeps its work: it returns its best sweep end
+    # even where no sweep end lies below the original objective at u_init,
+    # as in the later outer iterations of this run
+    returned = []
+
+    def recording(w, u_init, hu_init, cfg, kernel):
+        out = u_subproblem(w, u_init, hu_init, cfg, kernel)
+        returned.append((out[0] is u_init, out[1] is hu_init))
+        return out
+
+    monkeypatch.setattr(solver, "u_subproblem", recording)
+    target = np.zeros((32, 32))
+    target[8:24, 8:24] = 1.0
+    cfg = SolverConfig(outer_max_iters=12, bregman_max_iters=5,
+                       descent_max_iters=10)
+    admm_optimize(target, SMALL_OPTICS, cfg)
+    assert len(returned) == cfg.outer_max_iters
+    assert not any(u_kept or hu_kept for u_kept, hu_kept in returned)
 
 
 def test_admm_images_each_iterate_once(monkeypatch):
