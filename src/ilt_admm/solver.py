@@ -143,11 +143,9 @@ def bregman_objective(hu: np.ndarray, w: np.ndarray, d: np.ndarray,
                       ) -> tuple[float, np.ndarray, np.ndarray]:
     """F(U) = ||HU - W||^2 + (gamma/2) ||d - Phi(U) - b||^2 from hu = HU and
     phi_u = Phi(U), returned with the residual HU - W and the split gap
-    d - Phi(U) - b so grad_F at U can reuse them. The gap is formed in
-    phi_u's buffer."""
+    d - Phi(U) - b so grad_F at U can reuse them."""
     resid = hu - w
-    gap = np.subtract(d, phi_u, out=phi_u)
-    gap -= b
+    gap = d - phi_u - b
     f = sum_squares(resid) + 0.5 * cfg.gamma * sum_squares(gap)
     return f, resid, gap
 
@@ -196,8 +194,9 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     b, the split gap, the residual and the gradient stay so, so every image
     and adjoint runs in single precision, and every scalar
     compared (F, the Armijo move ||U - U_t||^2, the original objective) is
-    a float64 sum. The original objective reads Phi(U) at each sweep end
-    from the split the shrink and the b update take.
+    a float64 sum. Phi(U) is formed once per iterate, at u_init and at each
+    Armijo trial, and carried with it to the sweep end's original
+    objective, shrink and b update.
     Returns (U, HU) at the sweep end with the lowest original objective:
     its U and the image the U-step holds for it, cast to float64
     (complex128 for a complex image), even where that objective lies above
@@ -205,8 +204,7 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     and hu_init themselves only when bregman_max_iters is 0.
     """
     u, hu, w = (as_precision(a, np.float32) for a in (u_init, hu_init, w))
-    phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
-    d = phi_u.copy()  # the sweep's objective forms its gap in phi_u
+    d = phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U
     b = np.zeros_like(phi_u)
     best_u, best_hu, best_val = u_init, hu_init, np.inf
 
@@ -224,10 +222,10 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
                 if move_sq == 0.0:
                     break  # projected step goes nowhere: stationary in the box
                 hu_t = convolve(kernel, u_t)
-                f_t, resid_t, gap_t = bregman_objective(
-                    hu_t, w, d, b, cfg, phi(u_t, cfg.beta1, cfg.beta2))
+                phi_t = phi(u_t, cfg.beta1, cfg.beta2)
+                f_t, resid_t, gap_t = bregman_objective(hu_t, w, d, b, cfg, phi_t)
                 if f_t <= f0 - ARMIJO_ALPHA * move_sq / t:
-                    u, hu, f0, resid, gap = u_t, hu_t, f_t, resid_t, gap_t
+                    u, hu, phi_u, f0, resid, gap = u_t, hu_t, phi_t, f_t, resid_t, gap_t
                     accepted = True
                     break
                 t *= ARMIJO_BETA
@@ -236,13 +234,13 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
         if not np.all(np.isfinite(u)):
             raise FloatingPointError("u_subproblem produced non-finite mask values")
 
-        phi_u = phi(u, cfg.beta1, cfg.beta2)
         val = sum_squares(resid) + l1_norm(phi_u)  # the original objective
         if val < best_val:
             best_u, best_hu, best_val = u, hu, val
 
-        d = shrink(phi_u + b, 1.0 / cfg.gamma)
-        b = b + phi_u - d
+        phi_b = phi_u + b
+        d = shrink(phi_b, 1.0 / cfg.gamma)
+        b = phi_b - d
     return as_precision(best_u, np.float64), as_precision(best_hu, np.float64)
 
 

@@ -96,7 +96,8 @@ def test_grad_F_matches_finite_differences_with_nonzero_bregman_state():
 
 def test_bregman_objective_returns_residual_and_gap_for_grad_F():
     # the U-step hands grad_F the residual HU - W and the gap of its last
-    # objective evaluation: both exact, the gap in the given Phi's buffer
+    # objective evaluation: both exact, the gap in a new array, so the
+    # given Phi stays the Phi of its U
     cfg = SolverConfig()
     n = 12
     for kernel in (small_kernel(),
@@ -107,9 +108,10 @@ def test_bregman_objective_returns_residual_and_gap_for_grad_F():
         b = RNG.normal(size=(3, n, n))
         hu = convolve(kernel, u)
         phi_given = phi(u, cfg.beta1, cfg.beta2)
+        phi_bytes = phi_given.tobytes()
         f, resid, gap = bregman_objective(hu, w, d, b, cfg, phi_given)
-        # the gap is formed in the given Phi(U)'s buffer
-        assert np.shares_memory(gap, phi_given)
+        assert not np.shares_memory(gap, phi_given)
+        assert phi_given.tobytes() == phi_bytes
         assert np.array_equal(resid, hu - w)
         assert np.array_equal(gap, d - phi(u, cfg.beta1, cfg.beta2) - b)
         # each sum of squares is x * x over the real view: re and im of the
@@ -228,6 +230,24 @@ def test_u_subproblem_descends_and_stays_feasible():
         assert hu.dtype == image_dtype
         assert np.array_equal(
             hu, convolve(kernel, out.astype(np.float32)).astype(image_dtype))
+
+
+def test_u_subproblem_leaves_its_inputs_unchanged():
+    # the U-step works on its own single-precision copies: W, u_init and
+    # hu_init keep their bytes, whether they come in float64 or already in
+    # the U-step's precision, under a real and a complex kernel
+    cfg = SolverConfig(bregman_max_iters=3, descent_max_iters=3)
+    u_true = np.zeros((32, 32))
+    u_true[8:24, 10:22] = 1.0
+    for defocus in (0.0, 50.0):
+        kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
+        for dtype in (np.float64, np.float32):
+            u0 = np.full((32, 32), 0.5, dtype=dtype)
+            hu0, w = convolve(kernel, u0), convolve(kernel, u_true) + 0.1
+            given = [a.tobytes() for a in (w, u0, hu0)]
+            out, _ = u_subproblem(w, u0, hu0, cfg, kernel)
+            assert not np.array_equal(out, u0)
+            assert [a.tobytes() for a in (w, u0, hu0)] == given, (defocus, dtype)
 
 
 def test_v_subproblem_validation():
@@ -402,9 +422,10 @@ def test_solve_makes_no_blas_call(monkeypatch):
         assert np.isfinite(evaluate(u, target, optics_cfg, kernel=kernel).error)
 
 
-def test_u_step_reuses_phi_at_each_sweep_start(monkeypatch):
-    # a sweep starts at the U the last one ended on (or at u_init), whose
-    # Phi(U) the U-step already has: one Phi per sweep saved
+def test_u_step_forms_phi_once_per_iterate(monkeypatch):
+    # Phi is formed at u_init and at each Armijo trial; an accepted trial
+    # carries its Phi with its U, so neither a sweep end nor a sweep start
+    # forms it again
     cfg = SolverConfig(bregman_max_iters=4, descent_max_iters=3)
     for defocus in (0.0, 50.0):
         kernel = build_psf(OpticsConfig(kernel_size=20, defocus_nm=defocus))
@@ -430,10 +451,9 @@ def test_u_step_reuses_phi_at_each_sweep_start(monkeypatch):
             m.setattr(solver, "phi", counted_phi)
             m.setattr(solver, "convolve", counted_convolve)
             u_subproblem(w, u0, hu0, cfg, kernel)
-        # one at u_init, one per Armijo trial (each images its trial
-        # point), one per sweep end
+        # one at u_init, one per Armijo trial (each images its trial point)
         assert calls["trial"] > 0
-        assert calls["phi"] == 1 + calls["trial"] + cfg.bregman_max_iters
+        assert calls["phi"] == 1 + calls["trial"]
         assert calls["float64"] == 0
 
 
