@@ -316,7 +316,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         # ValueError covers PatternFormatError and GridError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,14 @@ def working_precision(*grids: np.ndarray) -> np.dtype:
     """The package's one precision rule: float32 when numpy promotes the
     grids to float32 or complex64, float64 otherwise (bool, integer,
     float16, float64 and complex128 data alike). Every image, correlation
-    and regularization map runs in its inputs' working precision."""
+    (cast once, by optics._operator) and regularization map, and
+    sum_squares' squares, run in their inputs' working precision; every
+    norm is summed in float64. Only the U-step works in single precision
+    (solver.u_subproblem). The outer loop's EPE monitor thresholds the
+    U-step's single-precision image and metrics.evaluate a float64 one,
+    both by optics.image_threshold in float64, so a pixel within rounding
+    of the threshold could split them; on the production run they agree,
+    as the acceptance suite checks."""
     single = np.result_type(*grids) in (np.float32, np.complex64)
     return np.dtype(np.float32 if single else np.float64)
 
@@ -71,9 +78,10 @@ def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def sum_squares(x: np.ndarray) -> float:
-    """||x||^2, the package's one rule: the sum of the squares of x's real
-    view (re, im interleaved), squared in x's precision and summed in
-    float64 in C order, whatever x's layout. On a real float64 grid it is
+    """||x||^2, the package's one rule, under every l2 norm and squared
+    misfit: the squares of x's real view (re, im interleaved), squared in
+    x's precision and summed in float64 in C order whatever x's layout, so
+    a transposed grid sums as its copy does. On a real float64 grid it is
     inner(x, x) exactly."""
     x = np.ascontiguousarray(x)
     if np.iscomplexobj(x):
@@ -83,7 +91,8 @@ def sum_squares(x: np.ndarray) -> float:
 
 def l1_norm(x: np.ndarray) -> float:
     """||x||_1, the package's one rule: |x| taken in x's precision and
-    summed in float64 in C order, whatever x's layout."""
+    summed in float64 in C order, whatever x's layout. The package takes
+    one, the regularizer ||Phi(U)||_1 of the U-step and the Lagrangian."""
     return float(np.sum(np.abs(np.ascontiguousarray(x)), dtype=np.float64))
 
 

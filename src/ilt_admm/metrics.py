@@ -65,9 +65,7 @@ def evaluate(mask: np.ndarray, target: np.ndarray, optics_cfg: OpticsConfig,
     for binarity; the report is that of printed != target.
 
     The mask must be real, finite and of the target's shape (GridError
-    otherwise). optics.convolve images it from its cached half spectrum
-    under a complex (defocused) kernel, so each of up to 16 masks is
-    transformed once, not once per focus setting.
+    otherwise); it is imaged as optics.convolve states.
     """
     target = as_binary(target)
     mask = as_grid(mask)

@@ -51,10 +51,7 @@ def check_settings(config) -> None:
 class OpticsConfig:
     """Projection-system parameters. Defaults are the production setting:
     ArF 193nm, NA 0.85, 5nm pixels, 100x100 kernel, resist threshold 0.3.
-    The resist threshold comes from optics_cfg, an OpticsConfig, in every
-    solve and evaluation. The sigmoid steepness is no setting: it changes
-    no mask, image or EPE, only the solver's logged Lagrangian, which
-    reads solver.SIGMOID_STEEPNESS."""
+    Every solve and evaluation takes its resist threshold from here."""
 
     wavelength_nm: float = 193.0
     numerical_aperture: float = 0.85
@@ -77,8 +74,7 @@ class OpticsConfig:
             raise ValueError("resist threshold must lie in (0, 1)")
 
 
-# The one cached operator (see PsfKernel.op), as kernel -> (n, operator).
-# It holds a 614 KB complex128 spectrum at the production setting.
+# PsfKernel.op's cache, kernel -> (n, operator)
 _operators = weakref.WeakKeyDictionary()
 
 
@@ -86,20 +82,19 @@ _operators = weakref.WeakKeyDictionary()
 class PsfKernel:
     """Spatial convolution kernel with its optics metadata.
 
-    samples is a read-only kernel_size x kernel_size complex128 array, a
-    view of the kernel's own copy of the array it was given, so no one can
-    make it writable again. A kernel's fields cannot be reassigned.
-    Kernels compare and hash by identity, the key of the operator cache
-    (see op).
-    """
+    A kernel copies the array it is given, once, into a private C-ordered
+    complex128 array (160 KB at the production setting), marks it
+    read-only and keeps a view of it as samples. numpy refuses to make a
+    view writable while its base is read-only, and a kernel's fields cannot
+    be reassigned, so the spectrum op caches cannot go stale.
+    dataclasses.replace(kernel, samples=other) makes a new kernel, with its
+    own operator. Kernels compare and hash by identity, the key of op's
+    cache."""
 
     samples: np.ndarray
     config: OpticsConfig | None = None
 
     def __post_init__(self):
-        # a cached operator holds the samples' spectrum, so a kernel keeps
-        # its own read-only complex128 copy and shows a view of it: numpy
-        # refuses to make a view writable while its base is read-only
         samples = as_grid(self.samples, complex_ok=True).astype(complex, order="C")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples[...])
@@ -113,20 +108,21 @@ class PsfKernel:
     def op(self, n: int) -> "_ConvOperator":
         """FFT convolution operator for n x n inputs, in both precisions.
 
-        The package images through one kernel at a time (a solve uses one
-        operator, a focus sweep one per kernel), so the module caches one
-        operator, the last one built: an op call for another kernel or size
-        first empties the cache, so two spectra are never alive together,
-        and the next call for this kernel rebuilds the operator bit for
-        bit. The cache is a weak map: it holds the kernel weakly, keyed by
-        identity, and drops the operator when the kernel dies."""
+        The module caches one operator, the last one built, in a weak map
+        of at most one entry, kernel -> (n, operator). An op call for
+        another kernel or size first empties it, so two kernel spectra
+        (614 KB each in complex128 at the production setting) are never
+        alive together. A solve builds one operator and a focus sweep one
+        per kernel; a caller that alternates two kernels pays a rebuild,
+        bit for bit the first build, per switch. The map holds the kernel
+        weakly, so a dropped kernel frees its operator at once, and a
+        caller that keeps many kernels keeps their samples, not spectra."""
         if _operators.get(self, (None,))[0] != n:
             _operators.clear()
             _operators[self] = (n, _ConvOperator(self.samples, n))
         return _operators[self][1]
 
 
-# a focus sweep needs one entry; each holds ~0.38 MB at the production setting
 @functools.lru_cache(maxsize=4)
 def _quadrature(kernel_size: int, pixel_size_nm: float, wavelength_nm: float,
                 numerical_aperture: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,8 +136,8 @@ def _quadrature(kernel_size: int, pixel_size_nm: float, wavelength_nm: float,
     - cosines[a, j] = 2 cos(2 pi x_a f_j), with cosines[a, 0] = 1, over the
       first ceil(k / 2) kernel pixels x_a.
 
-    The defocus and threshold leave them alone, so every kernel
-    of a focus sweep shares one entry, built once per process.
+    The defocus and threshold leave them alone, so every kernel of a focus
+    sweep shares one entry, ~0.38 MB at the production setting.
     """
     k, lam = kernel_size, wavelength_nm
     df = 1.0 / (PUPIL_OVERSAMPLE * k * pixel_size_nm)
@@ -171,22 +167,25 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
     df = 1/(PUPIL_OVERSAMPLE * kernel_size * pixel_size) and inverse-
     transformed by a direct quadrature sum onto the kernel pixels, centered
     so the peak sits at the kernel center; the result is scaled to unit DC
-    gain (sum = 1).
+    gain (sum = 1). It lies within 2e-15 max|h| of the whole-lattice
+    complex quadrature (1.7e-18 at focus, where max|h| = 1.85e-3).
 
     The pupil is even in fx and in fy, so the sum over the whole lattice
-    folds onto the quadrant Q (fx, fy >= 0): h = C Q C^T with
-    C[a, 0] = 1 and C[a, j] = 2 cos(2 pi x_a f_j), from _quadrature's cache.
-    At best focus Q is the real 0/1 disc; under defocus it is the stacked
-    real pair cos(t), -sin(t) of the phase t = 2 pi / lambda * D * root.
-    Under defocus two einsum passes contract it. At best focus the first
-    pass, C Q, is a lookup: disc column l is 1.0 on its first counts[l]
-    rows and 0.0 below, so column l of C Q is the running sum of C's first
-    counts[l] columns, which np.cumsum adds in j order from +0.0 as einsum
-    does, bit for bit (0.0 * c never moves a partial sum). The lookup is
-    made C-contiguous, since the second einsum's rounding follows its
-    operands' layout. No BLAS routine runs, so the kernel's bytes do not
-    depend on the BLAS thread count. Several identities hold exactly, not
-    just up to rounding:
+    folds onto the quadrant Q (fx, fy >= 0): h = C Q C^T with C[a, 0] = 1
+    and C[a, j] = 2 cos(2 pi x_a f_j), from _quadrature's cache. At best
+    focus Q is the real 0/1 disc; under defocus it is the stacked real pair
+    cos(t), -sin(t) of the phase t = 2 pi / lambda * D * root. At the
+    production setting (m = 141) Q is 142 x 142, 2 x 142 x 142 under
+    defocus, and C is 50 x 142. Under defocus two einsum passes contract
+    it, in einsum's own loops (optimize=False). At best focus the first
+    pass, C Q, is a lookup: f_j^2 + f_l^2 grows with j, so disc column l is
+    1.0 on its first counts[l] rows and 0.0 below, and column l of C Q is
+    the running sum of C's first counts[l] columns, which np.cumsum adds in
+    j order from +0.0 as einsum does, bit for bit (0.0 * c never moves a
+    partial sum). The lookup is made C-contiguous, since the second
+    einsum's rounding follows its operands' layout. No BLAS routine runs,
+    so the kernel's bytes do not depend on the BLAS thread count. Several
+    identities hold exactly, not just up to rounding:
 
     - Mirror symmetry. The pixel grid x is exactly odd (x_{k-1-a} is the
       negation of x_a), so only the first ceil(k/2) rows and columns are
@@ -201,8 +200,6 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
                                       cfg.numerical_aperture)
     d = cfg.defocus_nm
     if d == 0.0:
-        # f_j^2 + f_l^2 grows with j, so disc column l is 1.0 on rows
-        # j < counts[l]: C Q is a prefix sum of C, read at counts
         counts = np.count_nonzero(disc, axis=0)
         prefix = np.zeros((cosines.shape[0], cosines.shape[1] + 1))
         np.cumsum(cosines, axis=1, out=prefix[:, 1:])
@@ -215,7 +212,6 @@ def build_psf(cfg: OpticsConfig) -> PsfKernel:
         np.sin(t, out=q[1])
         if d > 0.0:  # exp(-i t) for D > 0, exp(+i t) for D < 0
             np.negative(q[1], out=q[1])
-        # optimize=False keeps einsum's own loops: no tensordot, so no BLAS
         rows = np.einsum("aj,...jl->...al", cosines, q, optimize=False)
     corner = np.einsum("...al,bl->...ab", rows, cosines, optimize=False)
     half = cosines.shape[0]  # ceil(k / 2)
@@ -234,11 +230,8 @@ def _spectrum(u: np.ndarray, shape: tuple[int, int], real: bool,
     """The transform of a grid placed at row and column at of a fresh zero
     lattice of the square shape, by the passes _ConvOperator states for a
     real kernel (real) or a complex one: half of it (rfft layout) or all
-    of it. Every spectrum the package takes, the operators' and the one
-    convolve caches half of in _mask_spectrum, is this routine's. The grid
-    arrives in its working precision (float32, float64, complex64 or
-    complex128; _operator casts it), and the lattice is that precision's
-    complex type."""
+    of it, in the complex type of the grid's precision. Every spectrum the
+    package takes is this routine's."""
     size, (rows, cols) = shape[0], u.shape
     hat = np.result_type(u, np.complex64)
     if real:
@@ -258,54 +251,48 @@ def _spectrum(u: np.ndarray, shape: tuple[int, int], real: bool,
 
 class _ConvOperator:
     """Zero-padded linear convolution with a fixed kernel and input size,
-    plus its exact adjoint (correlation with the conjugate kernel).
+    and its exact adjoint, correlation with the conjugate kernel.
 
-    Both directions work on the smallest fast FFT lattice on which cyclic
-    convolution equals linear convolution over the central n x n window:
-    5-smooth for a real kernel, which convolves by real-input transforms and
-    returns a real image, 11-smooth for any other kernel, which takes
-    complex transforms.
+    Both work on an L x L lattice, L = next_fast_len(max(n + k - 1 - c, k),
+    real=r): n is the field size, k the kernel size, c = (k - 1) // 2 the
+    offset of the central n x n window that forward keeps, and r whether
+    the kernel is real. A cyclic convolution of period L wraps the linear
+    one's tail onto indices below n + k - 1 - L <= c, outside the kept
+    window, and L >= k fits the whole kernel. A kernel is real when its
+    imaginary part is exactly 0.0, as build_psf's is at best focus: it
+    takes real transforms, whose fast lengths are 5-smooth (pocketfft's
+    real FFTs run a factor 7 through a slow generic radix), and returns a
+    real image. Any other kernel, however small its imaginary part, takes
+    11-smooth complex transforms. At the production setting (144² field,
+    100² kernel) L is 200 (2^3 5^2) or 196 (2^2 7^2), against the linear
+    convolution's 243; moving a lattice changes the rounding, so the
+    solver's masks.
 
-    Every transform the operator takes, of its kernel, of a mask and of an
-    adjoint's input, is _spectrum's: the grid placed at row and column `at`
-    of the zero L x L lattice (0 for the kernel and a mask, the crop offset
-    for an adjoint's input) and transformed by two 1-D passes, the first
-    over only the rows (real kernel) or columns (complex kernel) that hold
-    the grid. A real grid at 0 under a complex kernel takes the whole fft2,
-    which fills the Hermitian half of its spectrum its own way and is the
-    fast path: two complex passes took about 2.1x its time in float32 and
-    2.7x in float64 (196², 2-core x86_64). The inverse's last pass computes
-    only the n rows the crop keeps. The passes keep pocketfft's order and
-    scaling point (rfft2 takes the last axis first; irfft2, fft2 and ifft2
-    take axis 0 first; irfft2 applies 1/L^2 in its last pass, ifft2 in its
-    first), so the results are the whole 2-D transforms' bit for bit.
+    Every transform, of the kernel, of a mask and of an adjoint's input,
+    is _spectrum's: the grid placed at row and column `at` of the zero
+    lattice (0 for the kernel and a mask, c for an adjoint's input) and
+    transformed by two 1-D passes. The first runs over only the rows that
+    hold the grid (real kernel: rfft along axis 1, then fft along axis 0)
+    or its columns (complex kernel: fft along axis 0, then axis 1; a real
+    grid at at > 0 is cast to complex first). A real grid at 0 under a
+    complex kernel, a mask (and an adjoint's input when k <= 2, so c = 0),
+    takes the whole fft2 instead, which fills the Hermitian half of its
+    spectrum its own way and is the fast path: two complex passes took
+    about 2.1x its time in float32 and 2.7x in float64 (196², 2-core
+    x86_64). The inverse's last pass computes only the n rows the crop
+    keeps. The passes keep pocketfft's order and scaling point (rfft2
+    takes the last axis first; irfft2, fft2 and ifft2 take axis 0 first;
+    irfft2 applies 1/L^2 in its last pass, ifft2 in its first), so the
+    results are the whole 2-D transforms' bit for bit.
 
-    A kernel is real when its imaginary part is exactly 0.0, as build_psf's
-    is at best focus; an imaginary part, however small, takes the complex
-    path and stays in the image.
-
-    forward is _spectrum (the mask's transform) followed by the kernel
-    product and the pruned inverse, fused in place. A complex kernel's
-    image, convolve's path for a float64 mask, runs the same product and
-    inverse from columns 0..L//2 of the mask's spectrum, the half
-    _mask_spectrum keeps: it rebuilds the other columns by conjugation
-    into a fresh lattice and leaves the half untouched, so one half can
-    serve every kernel on the same lattice. fft2 of a real grid fills
-    those columns as the exact conjugates of their reflections, so the
-    image is forward's bit for bit.
-
-    An operator serves both precisions: every grid arrives already in its
-    working precision, float32/float64 or the complex type of that
-    precision, as _operator casts it by grids.working_precision, and each
-    product takes the kernel spectrum in its data's precision. kernel_hat
-    is built in float64; its complex64 rounding and each conjugate are made
-    from it on first use and kept. Single-precision data, the U-step's
-    state, returns float32 (complex64 for a complex kernel's forward),
-    within ~3e-7 relative of its float64 copy's result.
-
-    An operator holds those spectra and no scratch buffers, so no call
-    depends on an earlier one. It holds no PsfKernel, so the cache keeps
-    no kernel alive.
+    Each grid arrives in its working precision, cast by _operator, and
+    each product takes the kernel spectrum in its data's precision:
+    kernel_hat is built in float64, and its complex64 rounding and each
+    conjugate are made from it on first use and kept. Single-precision
+    data returns float32 (complex64 for a complex kernel's forward),
+    within ~3e-7 relative of its float64 copy's result. An operator holds
+    those spectra, no scratch buffer and no PsfKernel, so no call depends
+    on an earlier one and the cache keeps no kernel alive.
     """
 
     def __init__(self, kernel: np.ndarray, n: int):
@@ -313,9 +300,6 @@ class _ConvOperator:
         self.n = n
         self.crop = (k - 1) // 2  # central-window offset into the full conv
         self.real = not kernel.imag.any()
-        # wrap-around lands outside the central window; the kernel must fit.
-        # Real transforms get a 5-smooth length: pocketfft's real FFTs take
-        # any factor 7 through their slow generic radix.
         size = sfft.next_fast_len(max(n + k - 1 - self.crop, k), real=self.real)
         self.shape = (size, size)
         self.scale = 1.0 / (size * size)  # the inverse's 1/L^2
@@ -334,8 +318,10 @@ class _ConvOperator:
 
     def image(self, half: np.ndarray) -> np.ndarray:
         """forward of a real grid under a complex kernel, from columns
-        0..L//2 of the grid's spectrum, which stay unchanged. Entry (r, c)
-        of the rest is the conjugate of entry (-r, -c) mod L."""
+        0..L//2 of its spectrum (_mask_spectrum's half), which stay
+        unchanged. Entry (r, c) of the rest is the conjugate of entry
+        (-r, -c) mod L, as fft2 fills it for a real grid, so the image is
+        forward's bit for bit."""
         size, h = self.shape[0], half.shape[1]
         y = np.empty(self.shape, half.dtype)
         y[:, :h] = half
@@ -345,7 +331,8 @@ class _ConvOperator:
         return self._inverse(y, self.crop)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
-        """Linear convolution of an n x n grid, cropped to the central window."""
+        """Linear convolution of an n x n grid, cropped to the central
+        window: _spectrum, the kernel product and the pruned inverse."""
         u_hat = _spectrum(u, self.shape, self.real)
         u_hat *= self._hat(u_hat.dtype)
         return self._inverse(u_hat, self.crop)
@@ -377,8 +364,7 @@ def _operator(kernel: PsfKernel, name: str,
               a) -> tuple[_ConvOperator, np.ndarray]:
     """kernel's operator for a, which must be a 2-D square grid (GridError
     else), and a cast to its working precision: the imaging calls' one
-    application of grids.working_precision, so a bool, integer or float16
-    grid images as its float64 copy does."""
+    application of grids.working_precision."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GridError(f"{name} must be square, got shape {a.shape}")
@@ -405,16 +391,30 @@ class _MaskKey:
         return hash(float(np.frombuffer(self.bits).sum()))
 
 
-# A process-window sweep cycles through its masks once per focus setting,
-# and an LRU smaller than that cycle (12 masks) never hits. At the
-# production setting (144² field, 196² complex lattice) an entry holds
-# ~0.48 MB: the 310 KB half spectrum and the 166 KB key.
 @functools.lru_cache(maxsize=16)
 def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
     """Columns 0..L//2 of the complex-kernel _spectrum of the float64 mask
-    in key on the L x L lattice shape, read-only: a complex kernel's
-    operator takes the same transform of the mask, and its image rebuilds
-    the other columns, which the mask's realness makes redundant."""
+    in key on the L x L lattice shape, read-only: the mask is real, so
+    _ConvOperator.image rebuilds the rest, and one half serves every kernel
+    on the lattice.
+
+    convolve looks up a mask that works in float64 under a complex kernel,
+    and no other: a bool, integer or float16 mask looks up its float64
+    copy's entry, while a float32 mask (the U-step's) and any mask under a
+    real kernel, whose half spectra would push the complex ones out at
+    each pass through best focus, take a fresh forward. A solve's one
+    lookup is its start-up image of the target.
+
+    A sweep cycles through its masks once per focus setting, so the 16
+    entries cover the process-window benchmark's 12 masks and a sweep of
+    17 or more gets no hits. At the production setting (144² field, 196²
+    lattice) an entry holds ~0.48 MB, the 310 KB half and the 166 KB key,
+    and ~4.7 MB at a 512² field: at most ~7.6 MB and ~75 MB, against
+    ~12.5 MB and ~116 MB for full spectra. Of the ~5.7 MB the LRU holds in
+    that sweep, ~2.0 MB are the keys' mask copies (tracemalloc). A hit took
+    ~0.6x a fresh forward's time and a miss 1.5-1.8x (2-core x86_64): the
+    key, the whole fft2, the half's copy and the rebuild. No package path
+    images one-off float64 masks under a complex kernel in volume."""
     u = np.frombuffer(key.bits).reshape(key.shape)
     half = _spectrum(u, shape, False)[:, :shape[1] // 2 + 1].copy()
     half.flags.writeable = False
@@ -423,17 +423,10 @@ def _mask_spectrum(shape: tuple[int, int], key: _MaskKey) -> np.ndarray:
 
 def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
     """H * U: zero-padded linear 2-D convolution, central n x n window, the
-    operator's forward bit for bit. The mask must be real. It arrives at
-    the operator in its working precision (_operator): a float32 mask
-    convolves in single precision, and any other mask as its float64 copy.
-
-    A mask that arrives as float64 under a complex kernel is imaged from
-    its half spectrum in _mask_spectrum's LRU, shared by every kernel on
-    the same lattice, so a focus sweep transforms each mask once. Every
-    other mask takes forward; a real kernel's rfft2 spectra would evict a
-    sweep's complex ones. At production (196², 2-core x86_64) a hit took
-    ~0.6x forward's time and a miss 1.5-1.8x; no package path images
-    one-off float64 masks under a complex kernel in volume."""
+    package's one forward entry point. The mask must be real, and it
+    convolves in its working precision (grids.working_precision). The
+    image is the kernel operator's forward bit for bit, taken from the
+    cached half spectrum where _mask_spectrum says so."""
     op, u = _operator(kernel, "mask", u)
     if np.iscomplexobj(u):
         raise GridError("mask must be real, got complex data")
@@ -445,9 +438,8 @@ def convolve(kernel: PsfKernel, u: np.ndarray) -> np.ndarray:
 def convolve_adjoint(kernel: PsfKernel, x: np.ndarray) -> np.ndarray:
     """Re{H^* X}: the adjoint of convolve on real masks (the real part of
     the correlation with the conjugate kernel). X may be complex but must
-    be a square grid; float32 or complex64 X correlates in single
-    precision and returns float32, and any other X correlates as its
-    float64 (complex128) copy and returns float64."""
+    be a square grid; it correlates in its working precision
+    (grids.working_precision) and returns that real precision."""
     op, x = _operator(kernel, "image", x)
     return op.adjoint(x)
 

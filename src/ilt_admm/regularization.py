@@ -5,10 +5,7 @@ Phi(U), and the Bregman variables d and b of the U-step, are stacked
 (3, n, n) float arrays: index 0 is the x difference, 1 the y difference,
 2 the binarity penalty. The paper's regularizer
 b1 TV(U) + b2 ||U(1-U)||_1 is ||Phi(U)||_1, grids.l1_norm(phi(u, b1, b2)).
-
-Every map casts its input to grids.working_precision and returns that
-precision: float32 data, the U-step's state, stays float32, and any other
-real data maps as its float64 copy does.
+Every map works in its input's grids.working_precision.
 """
 
 from __future__ import annotations

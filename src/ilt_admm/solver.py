@@ -156,8 +156,8 @@ def grad_F(u: np.ndarray, resid: np.ndarray, gap: np.ndarray,
 
     2 Re{H^* resid} - gamma*beta1 D^T(gap[0], gap[1])
     + gamma*beta2 gap[2] (2U - 1), from bregman_objective's residual
-    resid = HU - W and split gap = d - Phi(U) - b at U. The adjoint runs in
-    resid's precision: the U-step's is single, and so is the gradient.
+    resid = HU - W and split gap = d - Phi(U) - b at U, in resid's
+    precision.
     """
     grad = 2.0 * convolve_adjoint(kernel, resid)
     # in place, but in the formula's operation order, so the rounding is
@@ -192,16 +192,17 @@ def u_subproblem(w: np.ndarray, u_init: np.ndarray, hu_init: np.ndarray,
     The state is single precision: u_init, hu_init and W are cast once to
     float32 (complex64 for a complex image); U, every trial U_t, Phi(U), d,
     b, the split gap, the residual and the gradient stay so, so every image
-    and adjoint runs in single precision, and every scalar
+    and adjoint takes the single-precision operator, and every scalar
     compared (F, the Armijo move ||U - U_t||^2, the original objective) is
     a float64 sum. Phi(U) is formed once per iterate, at u_init and at each
     Armijo trial, and carried with it to the sweep end's original
     objective, shrink and b update.
     Returns (U, HU) at the sweep end with the lowest original objective:
     its U and the image the U-step holds for it, cast to float64
-    (complex128 for a complex image), even where that objective lies above
-    its value at u_init, since ADMM asks only for an inexact U-step; u_init
-    and hu_init themselves only when bregman_max_iters is 0.
+    (complex128 for a complex image) for the V- and P-steps to reuse, even
+    where that objective lies above its value at u_init, since ADMM asks
+    only for an inexact U-step; u_init and hu_init themselves only when
+    bregman_max_iters is 0.
     """
     u, hu, w = (as_precision(a, np.float32) for a in (u_init, hu_init, w))
     d = phi_u = phi(u, cfg.beta1, cfg.beta2)  # Phi at the current U

@@ -333,6 +333,20 @@ def test_cli_non_finite_mask_exit_code(tmp_path, capsys):
     assert str(mask) in capsys.readouterr().err
 
 
+def test_cli_allocation_failure_is_runtime_error(tmp_path, monkeypatch, capsys):
+    # a setting whose arrays do not fit in memory (psf --pixel-size 1e5 asks
+    # numpy for tens of TiB) is a runtime error, not a usage error or a
+    # traceback; the stand-in raises before anything is allocated
+    def no_memory(cfg):
+        raise MemoryError("Unable to allocate 57.8 TiB")
+
+    monkeypatch.setattr(cli, "build_psf", no_memory)
+    assert run_cli(["psf", "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_psf(tmp_path, capsys):
     assert run_cli(["psf", "--kernel-size", "20",
                     "--output-dir", str(tmp_path)]) == 0
@@ -558,6 +572,28 @@ def test_readme_states_no_timings():
     # measurements live in CHANGES.md and the BENCH_*.json files
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert re.search(r"\d ?(µs|ms)\b", readme) is None
+
+
+def test_docs_name_real_package_attributes():
+    # README.md and the package's docstrings point at rules by name, such as
+    # grids.working_precision; each such name must exist in its module
+    modules = ("grids", "optics", "solver", "metrics", "regularization",
+               "pgmio", "targets", "cli")
+    ref = re.compile(r"\b(%s)((?:\.[A-Za-z_]\w*)+)" % "|".join(modules))
+    texts = [(SRC.parent / "README.md").read_text()]
+    for path in sorted((SRC / "ilt_admm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                texts.append(ast.get_docstring(node) or "")
+    refs = [(m[1], m[2][1:]) for text in texts for m in ref.finditer(text)
+            if m[2] != ".py"]  # a file name such as cli.py
+    assert len(refs) >= 20
+    for module, name in refs:
+        obj = importlib.import_module(f"ilt_admm.{module}")
+        for part in name.split("."):
+            assert hasattr(obj, part), f"{module}.{name}"
+            obj = getattr(obj, part)
 
 
 def test_cli_sweep(tmp_path):
