@@ -240,15 +240,15 @@ def cmd_sweep(args) -> int:
         cells.append(({"kernel_noise": level}, base,
                       PsfKernel(kernel.samples + noise, config=oc)))
     for cell, sc, k in cells:
-        _, records = admm_optimize(target, oc, sc, kernel=k)
+        mask, records = admm_optimize(target, oc, sc, kernel=k)
         tag = "_".join(f"{name}_{value:g}"
                        for name, value in cell.items()).replace(".", "p")
         write_history(records, out / f"history_{tag}.csv")
         trace = lagrangian_trace_check(records)
         label = " ".join(f"{name}={value:g}" for name, value in cell.items())
-        # admm_optimize returns the outer iterate with the lowest EPE
-        best = min(r.epe_error for r in records)
-        print(f"{label}: final epe_error={best!r}, "
+        # the polished mask can print below every record's EPE
+        final = evaluate(mask, target, oc, kernel=k).error
+        print(f"{label}: final epe_error={final!r}, "
               f"lagrangian nonincreasing fraction "
               f"{trace.nonincreasing_fraction:.3f} -> history_{tag}.csv")
     return 0

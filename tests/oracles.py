@@ -2,7 +2,8 @@
 and simple: double-loop convolution, dense 1-D search for the V-update,
 central-difference gradients, a PSF quadrature over the whole pupil
 lattice, the best-focus PSF by plain contractions of the folded
-quadrature, and a power series Bessel J1. Nothing here imports the package
+quadrature, a power series Bessel J1, and the pixel-flip polish as a plain
+loop over whole windows. Nothing here imports the package
 they check.
 """
 
@@ -190,3 +191,44 @@ def bessel_j1(x: float) -> float:
         total += term
         if abs(term) <= 1e-16 * max(abs(total), 1e-300):
             return float(total)
+
+
+def polish_oracle(b: np.ndarray, e: np.ndarray, h: np.ndarray,
+                  target: np.ndarray, tr: float):
+    """The pixel-flip polish of the 0/1 mask b, whose image is e, as a plain
+    raster loop over whole windows: each pass visits, in C order, the
+    pixels that had a 4-neighbour of the other value at its start; flipping
+    pixel p adds s h[q - p + c] to e_q over its window (s = +1 for 0 -> 1,
+    -1 for 1 -> 0, c = (k - 1) // 2), and is taken when it strictly lowers
+    the count of window pixels whose print |e|^2 >= tr differs from the
+    target. Stops after a pass that takes no flip. Returns the polished
+    mask, its running image and each taken flip as (row, column, change in
+    the window's count). h is used in e's type: its real part for real e.
+    """
+    b, e = b.copy(), e.copy()
+    h = h if np.iscomplexobj(e) else h.real
+    n, k = b.shape[0], h.shape[0]
+    c = (k - 1) // 2
+    flips = []
+    while True:
+        other = np.zeros(b.shape, dtype=bool)
+        other[1:] |= b[1:] != b[:-1]
+        other[:-1] |= b[1:] != b[:-1]
+        other[:, 1:] |= b[:, 1:] != b[:, :-1]
+        other[:, :-1] |= b[:, 1:] != b[:, :-1]
+        taken = 0
+        for i, j in zip(*np.nonzero(other)):
+            r0, r1 = max(0, i - c), min(n, i - c + k)
+            c0, c1 = max(0, j - c), min(n, j - c + k)
+            s = 1.0 - 2.0 * b[i, j]
+            trial = e[r0:r1, c0:c1] + s * h[r0 - i + c:r1 - i + c, c0 - j + c:c1 - j + c]
+            window = target[r0:r1, c0:c1]
+            before = np.count_nonzero((np.abs(e[r0:r1, c0:c1]) ** 2 >= tr) != window)
+            after = np.count_nonzero((np.abs(trial) ** 2 >= tr) != window)
+            if after < before:
+                e[r0:r1, c0:c1] = trial
+                b[i, j] = 1.0 - b[i, j]
+                flips.append((int(i), int(j), after - before))
+                taken += 1
+        if not taken:
+            return b, e, flips

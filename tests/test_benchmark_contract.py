@@ -104,8 +104,9 @@ def test_tracer_sees_every_solver_convolution(monkeypatch):
     # optics.convolve_adjoint spans: a solver path that reached the FFT
     # operator another way would read as zero convolutions, so the spans
     # must count every call of the operator itself. A forward image is
-    # either the operator's forward or, for the start-up image of a
-    # defocused solve, its image from the cached mask spectrum.
+    # either the operator's forward or, for the float64 images of a
+    # defocused solve (the start-up image and the polish's two), its image
+    # from the cached mask spectrum.
     tracing = _load("tracing", monkeypatch)
     calls = {"forward": 0, "image": 0, "adjoint": 0}
     for name in calls:
@@ -114,7 +115,7 @@ def test_tracer_sees_every_solver_convolution(monkeypatch):
             return _method(self, x)
         monkeypatch.setattr(optics._ConvOperator, name, counted)
     cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2, descent_max_iters=3)
-    for defocus, images in ((0.0, 0), (50.0, 1)):
+    for defocus, images in ((0.0, 0), (50.0, 3)):
         calls.update(forward=0, image=0, adjoint=0)
         tracer = tracing.Tracer()
         with tracer.installed(ilt_admm):

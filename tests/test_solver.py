@@ -5,15 +5,16 @@ from ilt_admm import optics, solver
 from ilt_admm.grids import as_precision, inner, l1_norm
 from ilt_admm.metrics import evaluate
 from ilt_admm.optics import OpticsConfig, PsfKernel, build_psf, convolve
-from oracles import fd_gradient, v_oracle_min_batch
+from oracles import fd_gradient, polish_oracle, v_oracle_min_batch
 from ilt_admm.regularization import phi, shrink
 from ilt_admm.solver import (SIGMOID_STEEPNESS, ConvergenceRecord,
                              SolverConfig, admm_optimize,
                              augmented_lagrangian, bregman_objective,
                              check_rho_condition, dual_update,
                              estimate_lipschitz, grad_F, grad_h,
-                             lagrangian_trace_check, sigmoid_misfit,
-                             u_subproblem, v_subproblem)
+                             lagrangian_trace_check, polish_binary,
+                             sigmoid_misfit, u_subproblem, v_subproblem)
+from ilt_admm.targets import ten_rectangles
 
 RNG = np.random.default_rng(31)
 
@@ -322,9 +323,23 @@ def test_admm_records_and_feasibility():
     assert all(np.isfinite(r.lagrangian) for r in records)
 
 
-def test_admm_returns_lowest_epe_outer_iterate():
+def polish_inputs(monkeypatch) -> list:
+    """The gray masks admm_optimize hands to polish_binary, in order."""
+    seen = []
+
+    def recording(u, *args):
+        seen.append(u)
+        return polish_binary(u, *args)
+
+    monkeypatch.setattr(solver, "polish_binary", recording)
+    return seen
+
+
+def test_admm_returns_lowest_epe_outer_iterate(monkeypatch):
     # this run's EPE passes its minimum mid-run and ends higher; the mask
-    # returned must be the one at the minimum, not the last one
+    # polished must be the one at the minimum, not the last one, and the
+    # mask returned prints no worse
+    seen = polish_inputs(monkeypatch)
     target = np.zeros((32, 32))
     target[8:24, 8:24] = 1.0
     cfg = SolverConfig(outer_max_iters=12, bregman_max_iters=5,
@@ -332,7 +347,92 @@ def test_admm_returns_lowest_epe_outer_iterate():
     u, records = admm_optimize(target, SMALL_OPTICS, cfg)
     best = min(r.epe_error for r in records)
     assert best < records[-1].epe_error
-    assert evaluate(u, target, SMALL_OPTICS).error == best
+    assert len(seen) == 1
+    assert evaluate(seen[0], target, SMALL_OPTICS).error == best
+    assert evaluate(u, target, SMALL_OPTICS).error <= best
+
+
+def gray_mask(target: np.ndarray, seed: int) -> np.ndarray:
+    """The target with noise, clipped to [0, 1]: many boundary pixels to
+    try, and flips that pay."""
+    noise = np.random.default_rng(seed).normal(size=target.shape)
+    return np.clip(target + 0.4 * noise, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("defocus", [0.0, 50.0])
+def test_polish_equals_the_plain_window_loop(defocus):
+    # the band-scored polish takes the flips of the plain loop over whole
+    # windows, bit for bit, under a real kernel and a complex one
+    oc = OpticsConfig(kernel_size=20, defocus_nm=defocus)
+    kernel = build_psf(oc)
+    assert kernel.op(48).real == (defocus == 0.0)
+    target = ten_rectangles(48)
+    for seed in (1, 2):
+        u = gray_mask(target, seed)
+        b0 = (u >= 0.5).astype(float)
+        want, _, flips = polish_oracle(b0, convolve(kernel, b0), kernel.samples,
+                                       target, oc.threshold)
+        got, report = polish_binary(u, target, kernel, oc.threshold)
+        assert len(flips) > 10
+        assert got.tobytes() == want.tobytes(), (defocus, seed)
+        assert np.array_equal(report.missed, evaluate(got, target, oc, kernel=kernel).missed)
+
+
+@pytest.mark.parametrize("defocus", [0.0, 50.0])
+def test_each_polish_flip_changes_the_print_as_a_fresh_image_does(defocus):
+    # the polish's flips are the oracle's (the test above): replayed one by
+    # one, each flip changes a fresh print's missed count by the change the
+    # running image showed in its window
+    oc = OpticsConfig(kernel_size=20, defocus_nm=defocus)
+    kernel = build_psf(oc)
+    target = ten_rectangles(48)
+    b = (gray_mask(target, 3) >= 0.5).astype(float)
+    _, _, flips = polish_oracle(b, convolve(kernel, b), kernel.samples,
+                                target, oc.threshold)
+    assert flips
+    missed = evaluate(b, target, oc, kernel=kernel).nonzero_epe_pixels
+    for i, j, change in flips:
+        b[i, j] = 1.0 - b[i, j]
+        now = evaluate(b, target, oc, kernel=kernel).nonzero_epe_pixels
+        assert now - missed == change < 0, (i, j)
+        missed = now
+
+
+def test_polish_never_misses_more_than_its_binarized_input():
+    target = ten_rectangles(48)
+    for defocus in (0.0, 50.0):
+        oc = OpticsConfig(kernel_size=20, defocus_nm=defocus)
+        kernel = build_psf(oc)
+        for u in [target] + [gray_mask(target, seed) for seed in range(4)]:
+            b, report = polish_binary(u, target, kernel, oc.threshold)
+            binarized = evaluate(u >= 0.5, target, oc, kernel=kernel)
+            assert set(np.unique(b)) <= {0.0, 1.0}
+            assert report.nonzero_epe_pixels <= binarized.nonzero_epe_pixels
+            assert np.array_equal(report.missed,
+                                  evaluate(b, target, oc, kernel=kernel).missed)
+
+
+def test_admm_keeps_the_gray_iterate_when_the_polish_loses(monkeypatch):
+    # a polished mask that prints worse than the lowest EPE on record is
+    # dropped for the gray iterate it started from, as on the square (83
+    # against 166 pixels); one that prints no worse is returned, as on
+    # ten_rectangles (293 against 262)
+    seen = polish_inputs(monkeypatch)
+    square = np.zeros((32, 32))
+    square[8:24, 8:24] = 1.0
+    cfg = SolverConfig(outer_max_iters=3, bregman_max_iters=2, descent_max_iters=3)
+    for target, polished in ((square, False), (ten_rectangles(48), True)):
+        seen.clear()
+        u, records = admm_optimize(target, SMALL_OPTICS, cfg)
+        best = min(r.epe_error for r in records)
+        b, report = polish_binary(seen[0], target, small_kernel(), SMALL_OPTICS.threshold)
+        assert (report.error <= best) == polished
+        if polished:
+            assert u.tobytes() == b.tobytes()
+            assert evaluate(u, target, SMALL_OPTICS).error < best
+        else:
+            assert u is seen[0]
+            assert np.any((u > 0.0) & (u < 1.0))
 
 
 def test_u_step_never_hands_back_u_init(monkeypatch):
@@ -358,7 +458,8 @@ def test_u_step_never_hands_back_u_init(monkeypatch):
 
 def test_admm_images_each_iterate_once(monkeypatch):
     # with no Bregman sweeps the mask never moves, so the start-up image
-    # HU of U = target is the only convolution the whole run needs
+    # HU of U = target is the only convolution the ADMM loop needs; the
+    # polish then images its binary mask at its start and its end
     calls = []
     forward = solver.convolve
 
@@ -372,7 +473,7 @@ def test_admm_images_each_iterate_once(monkeypatch):
     cfg = SolverConfig(outer_max_iters=3, bregman_max_iters=0)
     _, records = admm_optimize(target, SMALL_OPTICS, cfg)
     assert len(records) == 3
-    assert len(calls) == 1
+    assert len(calls) == 1 + 2
 
 
 def test_admm_state_takes_the_image_dtype(monkeypatch):
@@ -597,13 +698,14 @@ def test_u_step_takes_no_complex_abs(monkeypatch):
     assert np.iscomplexobj(hu) and not np.array_equal(out, u0)
 
 
-def test_solver_looks_up_the_spectrum_cache_once(spectra):
+def test_solver_looks_up_the_spectrum_cache_per_float64_image(spectra):
     # the U-step images float32 masks, which never touch the cache: a
-    # defocused solve's one float64 image, the start-up H U, makes its one
-    # lookup whatever the budget, and a solve at focus makes none
+    # defocused solve's three float64 images, the start-up H U and the
+    # polish's two of its binary mask, make three lookups whatever the
+    # budget, and a solve at focus makes none
     target = np.zeros((32, 32))
     target[8:24, 10:22] = 1.0
-    for defocus, lookups in ((10.0, 1), (0.0, 0)):
+    for defocus, lookups in ((10.0, 3), (0.0, 0)):
         oc = OpticsConfig(kernel_size=20, defocus_nm=defocus)
         assert build_psf(oc).op(32).real == (defocus == 0.0)
         for outer in (1, 3):
