@@ -157,20 +157,15 @@ def cmd_optimize(args) -> int:
     u, records = admm_optimize(target, oc, sc, progress=progress, kernel=kernel)
     out = _outdir(args)
     save_grid(u, out / "mask.txt", mode="text")
-    save_grid(u, out / "mask.pgm", mode="binary",
-              comment="mask binarized at 0.5; continuous values in mask.txt")
+    save_grid(u, out / "mask.pgm", mode="binary")
     report = evaluate(u, target, oc, kernel=kernel)
-    binarized = evaluate(u >= 0.5, target, oc, kernel=kernel)  # mask.pgm's print
-    # epe = |printed - target| on 0/1 grids, so each printed pattern is
-    # |target - epe| and no mask need be imaged again
-    for suffix, rep in (("", report), ("_binary", binarized)):
-        save_grid(np.abs(target - rep.epe), out / f"wafer{suffix}.pgm",
-                  mode="binary")
-        save_grid(rep.epe, out / f"epe{suffix}.pgm", mode="binary")
+    # epe = |printed - target| on 0/1 grids, so the printed pattern is
+    # |target - epe| and the mask need not be imaged again
+    save_grid(np.abs(target - report.epe), out / "wafer.pgm", mode="binary")
+    save_grid(report.epe, out / "epe.pgm", mode="binary")
     write_history(records, out / "history.csv")
     trace = lagrangian_trace_check(records)
-    print(f"baseline epe_error={baseline!r}, optimized epe_error={report.error!r}, "
-          f"binarized epe_error={binarized.error!r}")
+    print(f"baseline epe_error={baseline!r}, optimized epe_error={report.error!r}")
     print(f"lagrangian nonincreasing fraction: "
           f"{trace.nonincreasing_fraction:.3f}")
     print(f"outputs in {out}")
@@ -246,7 +241,8 @@ def cmd_sweep(args) -> int:
         write_history(records, out / f"history_{tag}.csv")
         trace = lagrangian_trace_check(records)
         label = " ".join(f"{name}={value:g}" for name, value in cell.items())
-        # the polished mask can print below every record's EPE
+        # the returned mask is polished, so its print can lie above or
+        # below every record's EPE
         final = evaluate(mask, target, oc, kernel=k).error
         print(f"{label}: final epe_error={final!r}, "
               f"lagrangian nonincreasing fraction "

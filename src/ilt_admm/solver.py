@@ -43,7 +43,7 @@ class SolverConfig:
     (admm_optimize): at 7 outer iterations on the three bundled targets,
     each at 0 and 50 nm, 6 to 10 sweeps miss 2687 to 2722 pixels in all,
     at 5616 to 9292 convolutions, against 2612 at 20 sweeps and 18,180;
-    5 sweeps miss 404 pixels on ten_rectangles at 50 nm."""
+    5 sweeps miss 416 pixels on ten_rectangles at 50 nm."""
 
     rho: float = 10.0
     gamma: float = 30.0
@@ -52,7 +52,7 @@ class SolverConfig:
     outer_max_iters: int = 100
     bregman_max_iters: int = 6
     # at 7 x 6 sweeps, 10 steps per sweep miss 2687 pixels over the same
-    # six cases, against 2876 at 8 and 2700 at 12; the cap also bounds
+    # six cases, against 2977 at 8 and 2701 at 12; the cap also bounds
     # Armijo backtracking
     descent_max_iters: int = 10
 
@@ -126,7 +126,7 @@ def check_rho_condition(rho: float, l_h: float) -> bool:
     """True iff rho/2 - L_h/rho - L_h > 0, the paper's sufficient-decrease
     condition, for the sigmoid surrogate's L_h: the V-step's hard threshold
     has no Lipschitz gradient. The production rho = 10 fails it (boundary
-    ~156.5 at L_h = 77.73); rho = 160 missed 7098 pixels, not 2687 (README)."""
+    ~156.5 at L_h = 77.73); rho = 160 missed 8461 pixels, not 2687 (README)."""
     if rho <= 0 or l_h <= 0:
         raise ValueError("rho and L_h must be positive")
     return bool(rho / 2.0 - l_h / rho - l_h > 0.0)
@@ -316,10 +316,10 @@ def _critical(e: np.ndarray, m: float, tr: float) -> np.ndarray:
 
 
 def polish_binary(u: np.ndarray, target: np.ndarray, kernel: PsfKernel,
-                  tr: float) -> tuple[np.ndarray, EvaluationReport]:
+                  tr: float) -> np.ndarray:
     """Binarize U at 0.5 and improve the binary mask B by exact pixel flips
-    (Liu & Zakhor, IEEE Trans. Semicond. Manuf., 1992); returns B and the
-    report of its print, imaged afresh.
+    (Liu & Zakhor, IEEE Trans. Semicond. Manuf., 1992); returns B, whose
+    print misses no more pixels than that of U binarized at 0.5.
 
     B is imaged once by convolve into E, in float64 (complex128 under a
     complex kernel). Each pass takes the pixels of B with a 4-neighbour of
@@ -330,7 +330,7 @@ def polish_binary(u: np.ndarray, target: np.ndarray, kernel: PsfKernel,
     (optics.image_threshold of optics.aerial_image against the target) in
     that window, and then E is updated in place over the window. The
     polish stops after a pass that takes no flip, and takes no convolution
-    between its two images.
+    after its one image.
 
     Only the pixels of _critical's band can change print under one flip,
     so each candidate is scored against the band alone, as one gather per
@@ -339,8 +339,7 @@ def polish_binary(u: np.ndarray, target: np.ndarray, kernel: PsfKernel,
     after it. Every sum and comparison is the plain loop's over the whole
     window, on the same operands, so the flips and E are that loop's bit
     for bit (tests/oracles.py, polish_oracle), at a fraction of its time.
-    E drifts from a fresh image by rounding only; the returned report is
-    of a fresh convolve of B.
+    E drifts from a fresh image of B by rounding only.
     """
     b = (np.asarray(u) >= 0.5).astype(float)
     target = as_binary(target)
@@ -392,8 +391,7 @@ def polish_binary(u: np.ndarray, target: np.ndarray, kernel: PsfKernel,
             b[pi, pj] = 1.0 - b[pi, pj]
             flipped = True
             i = hit + 1
-    printed = _optics.image_threshold(aerial_image(convolve(kernel, b)), tr)
-    return b, EvaluationReport(printed != target)
+    return b
 
 
 def _check_finite(name: str, value: np.ndarray, iteration: int) -> None:
@@ -407,7 +405,7 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
                   progress: Optional[Callable[[ConvergenceRecord], None]] = None,
                   kernel: Optional[PsfKernel] = None,
                   ) -> tuple[np.ndarray, list[ConvergenceRecord]]:
-    """Run the full ADMM loop and return (optimized mask, records).
+    """Run the full ADMM loop and return (binary mask, records).
 
     Initialization: U = target, V = H*U, P = all ones. V, P and both W take
     the dtype of the image HU: real for a real (in-focus) PSF, complex for
@@ -416,11 +414,11 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
     ascends the dual. Runs outer_max_iters iterations, and stops early
     only when the printed image matches the target (EPE 0), which no later
     iterate can beat. The first outer iterate with the lowest EPE is then
-    polished by polish_binary, which takes two convolutions: the binary
-    mask it returns when its fresh print misses no more pixels than that
-    iterate's EPE on record, and else that gray iterate itself. So the
-    returned mask prints no worse than the lowest EPE in the records, and
-    running longer never hands back a worse mask.
+    binarized and polished by polish_binary, at one convolution, and that
+    binary mask is returned. It prints no worse than that iterate
+    binarized at 0.5, but above or below the iterate's own EPE on record;
+    so running longer can reach a lower EPE on record whose polished mask
+    prints worse.
     The resist threshold comes from optics_cfg; a given kernel supplies
     only its samples.
     """
@@ -465,10 +463,7 @@ def admm_optimize(target: np.ndarray, optics_cfg: _optics.OpticsConfig,
             progress(rec)
         if err == 0.0:
             break
-    polished, report = polish_binary(best_u, target, kernel, tr)
-    if report.error <= best_err:
-        return polished, records
-    return best_u, records
+    return polish_binary(best_u, target, kernel, tr), records
 
 
 @dataclass

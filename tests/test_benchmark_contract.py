@@ -105,7 +105,7 @@ def test_tracer_sees_every_solver_convolution(monkeypatch):
     # operator another way would read as zero convolutions, so the spans
     # must count every call of the operator itself. A forward image is
     # either the operator's forward or, for the float64 images of a
-    # defocused solve (the start-up image and the polish's two), its image
+    # defocused solve (the start-up image and the polish's one), its image
     # from the cached mask spectrum.
     tracing = _load("tracing", monkeypatch)
     calls = {"forward": 0, "image": 0, "adjoint": 0}
@@ -115,7 +115,7 @@ def test_tracer_sees_every_solver_convolution(monkeypatch):
             return _method(self, x)
         monkeypatch.setattr(optics._ConvOperator, name, counted)
     cfg = SolverConfig(outer_max_iters=2, bregman_max_iters=2, descent_max_iters=3)
-    for defocus, images in ((0.0, 0), (50.0, 3)):
+    for defocus, images in ((0.0, 0), (50.0, 2)):
         calls.update(forward=0, image=0, adjoint=0)
         tracer = tracing.Tracer()
         with tracer.installed(ilt_admm):

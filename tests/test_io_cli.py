@@ -356,20 +356,25 @@ def test_cli_psf(tmp_path, capsys):
 
 
 def test_cli_optimize_outputs_and_determinism(tmp_path):
+    # optimize writes one binary mask, as the 0/1 values of mask.txt and as
+    # mask.pgm, and one print of it; two runs write the same bytes
     target = small_target(tmp_path)
     args = ["optimize", "--target", str(target), "--kernel-size", "30",
             "--outer-iters", "2", "--quiet"]
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert run_cli(args + ["--output-dir", str(out1)]) == 0
     assert run_cli(args + ["--output-dir", str(out2)]) == 0
-    for name in ("mask.txt", "mask.pgm", "wafer.pgm", "epe.pgm",
-                 "wafer_binary.pgm", "epe_binary.pgm", "history.csv"):
+    names = ["epe.pgm", "history.csv", "mask.pgm", "mask.txt", "wafer.pgm"]
+    assert sorted(p.name for p in out1.iterdir()) == names
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert np.array_equal(load_mask(out1 / "mask.txt"),
+                          load_pattern(out1 / "mask.pgm"))
 
 
 def test_cli_optimize_prints_the_epe_of_each_mask_file(tmp_path, capsys):
-    # the optimized epe_error is the print of the gray mask.txt, the
-    # binarized one that of mask.pgm's 0/1 pattern
+    # the one printed optimized epe_error is the print of mask.txt and of
+    # mask.pgm alike
     target = small_target(tmp_path)
     out = tmp_path / "opt"
     assert run_cli(["optimize", "--target", str(target), "--kernel-size", "30",
@@ -377,17 +382,15 @@ def test_cli_optimize_prints_the_epe_of_each_mask_file(tmp_path, capsys):
                     "--output-dir", str(out)]) == 0
     summary = capsys.readouterr().out.splitlines()[0]
     printed = dict(item.split(" epe_error=") for item in summary.split(", "))
+    assert printed.keys() == {"baseline", "optimized"}
     oc, pattern = OpticsConfig(kernel_size=30), load_pattern(target)
-    gray = evaluate(load_mask(out / "mask.txt"), pattern, oc).error
-    binary = evaluate(load_pattern(out / "mask.pgm"), pattern, oc).error
-    assert float(printed["optimized"]) == gray
-    assert float(printed["binarized"]) == binary
+    for mask in (load_mask(out / "mask.txt"), load_pattern(out / "mask.pgm")):
+        assert float(printed["optimized"]) == evaluate(mask, pattern, oc).error
 
 
 def test_cli_optimize_writes_the_print_of_each_mask_file(tmp_path, capsys):
-    # wafer.pgm and epe.pgm are the print of the gray mask.txt, and
-    # wafer_binary.pgm and epe_binary.pgm that of mask.pgm, whose mismatch
-    # count is the printed binarized epe_error squared
+    # wafer.pgm and epe.pgm are the print of mask.txt and of mask.pgm, whose
+    # mismatch count is the printed optimized epe_error squared
     target = small_target(tmp_path)
     out = tmp_path / "opt"
     assert run_cli(["optimize", "--target", str(target), "--kernel-size", "30",
@@ -396,17 +399,16 @@ def test_cli_optimize_writes_the_print_of_each_mask_file(tmp_path, capsys):
     summary = capsys.readouterr().out.splitlines()[0]
     printed = dict(item.split(" epe_error=") for item in summary.split(", "))
     oc, pattern = OpticsConfig(kernel_size=30), load_pattern(target)
-    for mask, suffix in ((load_mask(out / "mask.txt"), ""),
-                         (load_pattern(out / "mask.pgm"), "_binary")):
+    wafer = load_pattern(out / "wafer.pgm")
+    epe = load_pattern(out / "epe.pgm")
+    for mask in (load_mask(out / "mask.txt"), load_pattern(out / "mask.pgm")):
         report = evaluate(mask, pattern, oc)
-        wafer = load_pattern(out / f"wafer{suffix}.pgm")
-        epe = load_pattern(out / f"epe{suffix}.pgm")
-        assert np.array_equal(epe, report.epe), suffix
-        assert np.array_equal(wafer, np.abs(pattern - report.epe)), suffix
+        assert np.array_equal(epe, report.epe)
+        assert np.array_equal(wafer, np.abs(pattern - report.epe))
     count = int(np.count_nonzero(epe))
     assert count == report.nonzero_epe_pixels
     # the printed error is sqrt(count) exactly, so its square is the count
-    assert float(printed["binarized"]) == math.sqrt(count)
+    assert float(printed["optimized"]) == math.sqrt(count)
 
 
 def test_cli_evaluate_matches_simulate(tmp_path, capsys):

@@ -337,8 +337,7 @@ def polish_inputs(monkeypatch) -> list:
 
 def test_admm_returns_lowest_epe_outer_iterate(monkeypatch):
     # this run's EPE passes its minimum mid-run and ends higher; the mask
-    # polished must be the one at the minimum, not the last one, and the
-    # mask returned prints no worse
+    # polished must be the one at the minimum, not the last one
     seen = polish_inputs(monkeypatch)
     target = np.zeros((32, 32))
     target[8:24, 8:24] = 1.0
@@ -349,7 +348,6 @@ def test_admm_returns_lowest_epe_outer_iterate(monkeypatch):
     assert best < records[-1].epe_error
     assert len(seen) == 1
     assert evaluate(seen[0], target, SMALL_OPTICS).error == best
-    assert evaluate(u, target, SMALL_OPTICS).error <= best
 
 
 def gray_mask(target: np.ndarray, seed: int) -> np.ndarray:
@@ -372,10 +370,9 @@ def test_polish_equals_the_plain_window_loop(defocus):
         b0 = (u >= 0.5).astype(float)
         want, _, flips = polish_oracle(b0, convolve(kernel, b0), kernel.samples,
                                        target, oc.threshold)
-        got, report = polish_binary(u, target, kernel, oc.threshold)
+        got = polish_binary(u, target, kernel, oc.threshold)
         assert len(flips) > 10
         assert got.tobytes() == want.tobytes(), (defocus, seed)
-        assert np.array_equal(report.missed, evaluate(got, target, oc, kernel=kernel).missed)
 
 
 @pytest.mark.parametrize("defocus", [0.0, 50.0])
@@ -404,35 +401,33 @@ def test_polish_never_misses_more_than_its_binarized_input():
         oc = OpticsConfig(kernel_size=20, defocus_nm=defocus)
         kernel = build_psf(oc)
         for u in [target] + [gray_mask(target, seed) for seed in range(4)]:
-            b, report = polish_binary(u, target, kernel, oc.threshold)
+            b = polish_binary(u, target, kernel, oc.threshold)
             binarized = evaluate(u >= 0.5, target, oc, kernel=kernel)
             assert set(np.unique(b)) <= {0.0, 1.0}
-            assert report.nonzero_epe_pixels <= binarized.nonzero_epe_pixels
-            assert np.array_equal(report.missed,
-                                  evaluate(b, target, oc, kernel=kernel).missed)
+            assert (evaluate(b, target, oc, kernel=kernel).nonzero_epe_pixels
+                    <= binarized.nonzero_epe_pixels)
 
 
-def test_admm_keeps_the_gray_iterate_when_the_polish_loses(monkeypatch):
-    # a polished mask that prints worse than the lowest EPE on record is
-    # dropped for the gray iterate it started from, as on the square (83
-    # against 166 pixels); one that prints no worse is returned, as on
-    # ten_rectangles (293 against 262)
+def test_admm_returns_the_polish_of_its_lowest_epe_iterate(monkeypatch):
+    # the returned mask is the polish of the recorded input, binary, and
+    # misses no more pixels than that input binarized at 0.5: 166 against
+    # 187 on the square, where it prints above the lowest EPE on record
+    # (83 pixels), and 262 against 279 on ten_rectangles, where it prints
+    # below it (293)
     seen = polish_inputs(monkeypatch)
     square = np.zeros((32, 32))
     square[8:24, 8:24] = 1.0
     cfg = SolverConfig(outer_max_iters=3, bregman_max_iters=2, descent_max_iters=3)
-    for target, polished in ((square, False), (ten_rectangles(48), True)):
+    for target, missed in ((square, (166, 187)), (ten_rectangles(48), (262, 279))):
         seen.clear()
         u, records = admm_optimize(target, SMALL_OPTICS, cfg)
-        best = min(r.epe_error for r in records)
-        b, report = polish_binary(seen[0], target, small_kernel(), SMALL_OPTICS.threshold)
-        assert (report.error <= best) == polished
-        if polished:
-            assert u.tobytes() == b.tobytes()
-            assert evaluate(u, target, SMALL_OPTICS).error < best
-        else:
-            assert u is seen[0]
-            assert np.any((u > 0.0) & (u < 1.0))
+        (gray,) = seen
+        b = polish_binary(gray, target, small_kernel(), SMALL_OPTICS.threshold)
+        assert u.tobytes() == b.tobytes()
+        assert set(np.unique(u)) <= {0.0, 1.0}
+        counts = (evaluate(u, target, SMALL_OPTICS).nonzero_epe_pixels,
+                  evaluate(gray >= 0.5, target, SMALL_OPTICS).nonzero_epe_pixels)
+        assert counts == missed
 
 
 def test_u_step_never_hands_back_u_init(monkeypatch):
@@ -459,7 +454,7 @@ def test_u_step_never_hands_back_u_init(monkeypatch):
 def test_admm_images_each_iterate_once(monkeypatch):
     # with no Bregman sweeps the mask never moves, so the start-up image
     # HU of U = target is the only convolution the ADMM loop needs; the
-    # polish then images its binary mask at its start and its end
+    # polish then images its binary mask once
     calls = []
     forward = solver.convolve
 
@@ -473,7 +468,7 @@ def test_admm_images_each_iterate_once(monkeypatch):
     cfg = SolverConfig(outer_max_iters=3, bregman_max_iters=0)
     _, records = admm_optimize(target, SMALL_OPTICS, cfg)
     assert len(records) == 3
-    assert len(calls) == 1 + 2
+    assert len(calls) == 1 + 1
 
 
 def test_admm_state_takes_the_image_dtype(monkeypatch):
@@ -700,12 +695,12 @@ def test_u_step_takes_no_complex_abs(monkeypatch):
 
 def test_solver_looks_up_the_spectrum_cache_per_float64_image(spectra):
     # the U-step images float32 masks, which never touch the cache: a
-    # defocused solve's three float64 images, the start-up H U and the
-    # polish's two of its binary mask, make three lookups whatever the
+    # defocused solve's two float64 images, the start-up H U and the
+    # polish's one of its binary mask, make two lookups whatever the
     # budget, and a solve at focus makes none
     target = np.zeros((32, 32))
     target[8:24, 10:22] = 1.0
-    for defocus, lookups in ((10.0, 3), (0.0, 0)):
+    for defocus, lookups in ((10.0, 2), (0.0, 0)):
         oc = OpticsConfig(kernel_size=20, defocus_nm=defocus)
         assert build_psf(oc).op(32).real == (defocus == 0.0)
         for outer in (1, 3):
